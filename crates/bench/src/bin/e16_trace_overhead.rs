@@ -13,17 +13,23 @@
 //! cargo run --release -p mercurial-bench --bin e16_trace_overhead [-- --smoke]
 //! ```
 //!
+//! The closed loop is timed untraced against trace + watch + audit all
+//! on, interleaved best-of-15, and gated: observability on must cost
+//! under 10% of the untraced loop.
+//!
 //! `--smoke` skips the timing (meaningless on shared CI machines) and
 //! instead checks the tracing correctness contracts at demo scale:
 //! byte-identical JSONL across 1/2/8 workers, a Chrome export that parses
-//! as JSON with balanced B/E span pairs, and an incident timeline showing
-//! a full onset → signal → quarantine → confirm story (`make trace-smoke`).
+//! as JSON with balanced B/E span pairs, an incident timeline showing
+//! a full onset → signal → quarantine → confirm story, and machine spans
+//! that only add `screen.machine` lines to the default trace
+//! (`make trace-smoke`).
 
 use std::time::Instant;
 
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::fault::CoreUid;
-use mercurial::trace::{incident_timeline, Recorder, TraceFlags};
+use mercurial::trace::{incident_timeline, EventKind, Recorder, TraceFlags};
 use mercurial::{FleetExperiment, Scenario};
 use mercurial_fleet::{SignalLog, SimSummary};
 use mercurial_prof::Prof;
@@ -103,6 +109,42 @@ fn run_smoke() {
         "no full onset→signal→quarantine→confirm story:\n{timeline}"
     );
     println!("timeline: full onset → signal → quarantine → confirm story present");
+
+    // 4. Machine spans force the per-machine screening walk; every other
+    //    traced run takes the sparse plan. The walk must record exactly
+    //    the default trace plus `screen.machine` spans, and each offline
+    //    sweep's span must close when its last machine's drain does.
+    let default = ClosedLoopDriver::execute(&traced_demo(7)).trace.to_jsonl();
+    let mut s = traced_demo(7);
+    s.trace.machine_spans = true;
+    let walk = ClosedLoopDriver::execute(&s).trace;
+    let mut drained = f64::NEG_INFINITY;
+    for e in &walk.events {
+        match (e.name, e.kind) {
+            ("screen.offline", EventKind::Begin) => drained = f64::NEG_INFINITY,
+            ("screen.machine", EventKind::End) => drained = drained.max(e.hour),
+            ("screen.offline", EventKind::End) => assert_eq!(
+                e.hour, drained,
+                "offline span must end with its last machine's drain"
+            ),
+            _ => {}
+        }
+    }
+    let walk = walk.to_jsonl();
+    let filtered: String = walk
+        .lines()
+        .filter(|l| !l.contains("\"n\":\"screen.machine\""))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    assert!(
+        filtered == default,
+        "machine-span trace minus screen.machine lines differs from the default trace"
+    );
+    println!(
+        "machine spans: {} lines minus screen.machine = the default {} lines, byte for byte",
+        walk.lines().count(),
+        default.lines().count()
+    );
     println!("\nE16 smoke: all tracing contracts hold");
 }
 
@@ -117,6 +159,29 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Per-arm best of `reps` rounds. Every round times each arm once, and
+/// the starting arm rotates so no arm always runs first or last.
+fn interleaved_best_of<const N: usize>(
+    reps: usize,
+    arms: [&mut dyn FnMut() -> f64; N],
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for round in 0..reps {
+        for k in 0..N {
+            let i = (round + k) % N;
+            best[i] = best[i].min(arms[i]());
+        }
+    }
+    best
+}
+
+/// Wall-clock seconds of one call of `f`, and its result.
+fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t = Instant::now();
+    let out = f();
+    (t.elapsed().as_secs_f64(), out)
 }
 
 fn run_full() {
@@ -172,24 +237,42 @@ fn run_full() {
         "sim, recorder enabled:    {enabled:>8.3} s   ({enabled_pct:+.2}%, {trace_events} events)"
     );
 
-    // The closed loop end to end, tracing off vs on (1 rep — the screeners
-    // dominate and the comparison is already conservative).
-    let mut s = scenario.clone();
-    s.closed_loop.feedback = true;
-    s.trace.enabled = false;
-    let t = Instant::now();
-    let off = prof.scope("loop.untraced", || ClosedLoopDriver::execute(&s));
-    let loop_off = t.elapsed().as_secs_f64();
-    assert!(off.trace.is_empty());
-    s.trace.enabled = true;
-    let t = Instant::now();
-    let on = prof.scope("loop.traced", || ClosedLoopDriver::execute(&s));
-    let loop_on = t.elapsed().as_secs_f64();
+    // The closed loop end to end, untraced vs trace + watch + audit all
+    // on. The two arms take turns in alternating order, so host drift
+    // hits them alike; best-of is the estimator.
+    let mut off_s = scenario.clone();
+    off_s.closed_loop.feedback = true;
+    let mut on_s = off_s.clone();
+    on_s.trace.enabled = true;
+    on_s.watch.enabled = true;
+    on_s.audit.enabled = true;
+    let loop_reps = 15;
+    let mut on = None;
+    let [loop_off, loop_on] = interleaved_best_of(
+        loop_reps,
+        [
+            &mut || {
+                prof.scope("loop.untraced", || {
+                    let (secs, off) = timed(|| ClosedLoopDriver::execute(&off_s));
+                    assert!(off.trace.is_empty());
+                    secs
+                })
+            },
+            &mut || {
+                prof.scope("loop.observed", || {
+                    let (secs, out) = timed(|| ClosedLoopDriver::execute(&on_s));
+                    on = Some(out);
+                    secs
+                })
+            },
+        ],
+    );
+    let on = on.expect("at least one round");
     let jsonl = on.trace.to_jsonl();
     let loop_pct = 100.0 * (loop_on / loop_off - 1.0);
-    println!("closed loop, tracing off: {loop_off:>8.3} s");
+    println!("closed loop, untraced:    {loop_off:>8.3} s   (best of {loop_reps}, interleaved)");
     println!(
-        "closed loop, tracing on:  {loop_on:>8.3} s   ({loop_pct:+.2}%, {} events, {} B JSONL)",
+        "closed loop, trace+watch+audit: {loop_on:>8.3} s   ({loop_pct:+.2}%, {} events, {} B JSONL)",
         on.trace.events.len(),
         jsonl.len()
     );
@@ -199,9 +282,14 @@ fn run_full() {
         disabled_pct < 2.0,
         "acceptance: disabled tracing overhead {disabled_pct:.2}% must stay under 2%"
     );
+    // Acceptance: trace + watch + audit on cost < 10% of the untraced loop.
+    assert!(
+        loop_pct < 10.0,
+        "acceptance: closed-loop observability overhead {loop_pct:.2}% must stay under 10%"
+    );
 
     let body = format!(
-        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"sim_untraced_secs\": {untraced:.4},\n  \"sim_disabled_secs\": {disabled:.4},\n  \"sim_enabled_secs\": {enabled:.4},\n  \"sim_disabled_overhead_pct\": {disabled_pct:.3},\n  \"sim_enabled_overhead_pct\": {enabled_pct:.3},\n  \"closed_loop_off_secs\": {loop_off:.4},\n  \"closed_loop_on_secs\": {loop_on:.4},\n  \"closed_loop_on_overhead_pct\": {loop_pct:.3},\n  \"sim_trace_events\": {trace_events},\n  \"closed_loop_trace_events\": {},\n  \"closed_loop_jsonl_bytes\": {}",
+        "\"scenario\": \"{}\",\n  \"machines\": {},\n  \"months\": {},\n  \"sim_untraced_secs\": {untraced:.4},\n  \"sim_disabled_secs\": {disabled:.4},\n  \"sim_enabled_secs\": {enabled:.4},\n  \"sim_disabled_overhead_pct\": {disabled_pct:.3},\n  \"sim_enabled_overhead_pct\": {enabled_pct:.3},\n  \"closed_loop_off_secs\": {loop_off:.4},\n  \"closed_loop_on_secs\": {loop_on:.4},\n  \"closed_loop_on_overhead_pct\": {loop_pct:.3},\n  \"closed_loop_reps\": {loop_reps},\n  \"closed_loop_on_layers\": \"trace+watch+audit\",\n  \"sim_trace_events\": {trace_events},\n  \"closed_loop_trace_events\": {},\n  \"closed_loop_jsonl_bytes\": {}",
         scenario.name,
         scenario.fleet.machines,
         scenario.sim.months,

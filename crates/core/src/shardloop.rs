@@ -43,7 +43,7 @@ use mercurial_fleet::{EventKind, EventQueue, FleetSim, FleetTopology, Population
 use mercurial_isolation::{CapacityLedger, QuarantineRegistry, SafeTaskPolicy, TaskUnitProfile};
 use mercurial_metrics::{ClassPoint, EpochSeries};
 use mercurial_mitigation::MitigationPolicy;
-use mercurial_prof::Prof;
+use mercurial_prof::{intern, Prof};
 use mercurial_screening::{
     BurnIn, BurnInCampaign, DetectionMethod, DetectionRecord, HumanTriage, OfflineCampaign,
     OfflineScreener, OnlineCampaign, OnlineScreener, Scoreboard, TriageOutcome, TriageStats,
@@ -169,10 +169,10 @@ impl ClassMetricNames {
     /// Worker-side cumulative counter names for class `name`.
     fn counters(name: &str) -> ClassMetricNames {
         ClassMetricNames {
-            corrupt_ops: intern(format!("class.{name}.corrupt_ops_total")),
-            caught: intern(format!("class.{name}.caught_total")),
-            user_reports: intern(format!("class.{name}.user_reports_total")),
-            overhead_ops: intern(format!("class.{name}.overhead_ops_total")),
+            corrupt_ops: intern(&format!("class.{name}.corrupt_ops_total")),
+            caught: intern(&format!("class.{name}.caught_total")),
+            user_reports: intern(&format!("class.{name}.user_reports_total")),
+            overhead_ops: intern(&format!("class.{name}.overhead_ops_total")),
         }
     }
 
@@ -181,27 +181,12 @@ impl ClassMetricNames {
     /// from, so they must precede the `epoch.corrupt_ops` boundary gauge.
     pub(crate) fn gauges(name: &str) -> ClassMetricNames {
         ClassMetricNames {
-            corrupt_ops: intern(format!("class.{name}.corrupt_ops")),
-            caught: intern(format!("class.{name}.caught")),
-            user_reports: intern(format!("class.{name}.user_reports")),
-            overhead_ops: intern(format!("class.{name}.overhead_ops")),
+            corrupt_ops: intern(&format!("class.{name}.corrupt_ops")),
+            caught: intern(&format!("class.{name}.caught")),
+            user_reports: intern(&format!("class.{name}.user_reports")),
+            overhead_ops: intern(&format!("class.{name}.overhead_ops")),
         }
     }
-}
-
-/// Leak-once interner: metric names must be `&'static str` for the
-/// recorder, and class names are dynamic. Deduplicates so repeated runs
-/// in one process never grow the leak past one entry per distinct name.
-fn intern(name: String) -> &'static str {
-    use std::sync::Mutex;
-    static POOL: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut pool = POOL.lock().expect("name pool poisoned");
-    if let Some(hit) = pool.iter().find(|&&p| p == name) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(name.into_boxed_str());
-    pool.push(leaked);
-    leaked
 }
 
 impl<'a> FleetShard<'a> {
@@ -1063,7 +1048,7 @@ pub fn record_alerts(rec: &mut Recorder, alerts: &[(usize, Alert)], audit: bool)
         rec.instant(a.hour, "alert.fired", None, *idx as f64);
         if audit {
             rec.counter_add("audit.alerts", 1);
-            rec.counter_add(intern(format!("audit.rule.{}.fires", a.rule)), 1);
+            rec.counter_add(intern(&format!("audit.rule.{}.fires", a.rule)), 1);
         }
     }
 }

@@ -26,5 +26,5 @@ mod report;
 
 pub use calibrate::measured_spawn_cost_us;
 pub use meta::{BenchMeta, HostInfo, MetaPhase, BENCH_META_SCHEMA};
-pub use profiler::{peak_rss_bytes, PhaseGuard, Prof};
+pub use profiler::{intern, peak_rss_bytes, PhaseGuard, Prof};
 pub use report::{PhaseNode, ProfileEntry, SelfProfile};

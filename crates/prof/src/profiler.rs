@@ -268,18 +268,20 @@ impl Drop for PhaseGuard<'_> {
     }
 }
 
-/// Leak-once interner for dynamic phase names arriving over the wire.
-/// Deduplicates so repeated runs in one process never grow the leak past
-/// one entry per distinct name.
-fn intern(name: &str) -> &'static str {
+/// The process-wide leak-once name interner: `&'static str` for names
+/// built at run time (phase names arriving over the wire, per-class and
+/// worker metric names). Deduplicates, so the leak is bounded by the
+/// number of distinct names however often each one arrives.
+pub fn intern(name: &str) -> &'static str {
+    use std::collections::BTreeSet;
     use std::sync::Mutex;
-    static POOL: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-    let mut pool = POOL.lock().expect("phase-name pool poisoned");
-    if let Some(hit) = pool.iter().find(|&&p| p == name) {
+    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut pool = POOL.lock().expect("name pool poisoned");
+    if let Some(hit) = pool.get(name) {
         return hit;
     }
     let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    pool.push(leaked);
+    pool.insert(leaked);
     leaked
 }
 
@@ -296,6 +298,14 @@ pub fn peak_rss_bytes() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interning_an_equal_name_twice_returns_the_same_pointer() {
+        let a = intern(&format!("test.{}", "interned"));
+        let b = intern(&String::from("test.interned"));
+        assert!(std::ptr::eq(a, b), "an equal name must not leak again");
+        assert_eq!(a, "test.interned");
+    }
 
     #[test]
     fn disabled_handle_is_a_single_word_and_inert() {

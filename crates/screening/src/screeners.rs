@@ -333,26 +333,37 @@ struct MachineTask {
 
 /// How a campaign turns a sweep/pass into per-machine tasks.
 ///
-/// Whenever telemetry records (counters are charged per task, spans per
-/// machine), every machine needs a task. Untraced, only "hot" machines —
-/// those hosting a mercurial or already-detected core — can differ from
-/// the closed-form counter bump, so the all-healthy remainder is folded
-/// into [`ScreeningStats`] arithmetic without materializing tasks.
-/// Bit-for-bit equality with the per-machine walk holds because clean
+/// Only "hot" machines — those hosting a mercurial or already-detected
+/// core — can differ from the closed-form counter bump, so the all-healthy
+/// remainder is folded into [`ScreeningStats`] arithmetic without
+/// materializing tasks. Telemetry does not need the tasks either: pass
+/// spans follow the schedule and counters the stats delta. Bit-for-bit
+/// equality with the per-machine walk holds because clean
 /// machines never draw randomness, never detect, and charge
 /// order-independent counters (the f64 drain accumulator sums the same
 /// per-machine constant the same number of times, so reordering clean
 /// relative to hot machines cannot change the float result).
 enum ScreenPlan<'a> {
-    /// Materialize a task per machine (required while tracing).
+    /// Materialize a task per machine: needed only for `screen.machine`
+    /// spans, and the reference walk the sparse plan is tested against.
     EveryMachine,
     /// Tasks only for this sorted machine set; the rest go to counters.
     HotOnly(&'a [u32]),
 }
 
-/// Whether the recorder forces the fully materialized per-machine walk.
-fn per_task_trace(rec: &Recorder) -> bool {
-    rec.flags().enabled
+/// Whether the recorder asks for a span per screened machine, which
+/// forces the fully materialized per-machine walk.
+fn machine_span_walk(rec: &Recorder) -> bool {
+    rec.flags().machine_spans
+}
+
+/// Charges one pass, sweep or burn-in batch to the three `screen.*`
+/// counters from the campaign's stats before and after it, closed-form
+/// remainder included, so the totals do not depend on the plan.
+fn charge_counters(rec: &mut Recorder, was: ScreeningStats, now: ScreeningStats) {
+    rec.counter_add("screen.core_screens", now.core_screens - was.core_screens);
+    rec.counter_add("screen.test_ops", now.test_ops - was.test_ops);
+    rec.counter_add("screen.detections", now.detections - was.detections);
 }
 
 /// Whether `machine` belongs to the campaign's machine shard (`None`
@@ -443,20 +454,13 @@ fn run_machine_tasks(
         );
         (newly, local)
     });
-    // The three screen.* counters are bumped once per batch, not once per
-    // task: a campaign sweep runs millions of machine tasks, and a
-    // per-task `counter_add` turns the merge loop into millions of
-    // metric-map lookups that dwarf the screening work itself. u64 sums
-    // are exactly associative, so the batch totals are bit-identical.
-    let (mut core_screens, mut test_ops, mut detections) = (0u64, 0u64, 0u64);
+    // No screen.* counters here: under the sparse plan the tasks cover
+    // only hot machines, so the campaign charges them (`charge_counters`).
     for (task, (newly, local)) in tasks.iter().zip(results) {
         if machine_spans {
             rec.begin(task.hour, "screen.machine");
             rec.end(task.hour + task.drain_hours, "screen.machine");
         }
-        core_screens += local.core_screens;
-        test_ops += local.test_ops;
-        detections += local.detections;
         sinks.stats.drained_machine_hours += task.drain_hours;
         sinks.stats.core_screens += local.core_screens;
         sinks.stats.test_ops += local.test_ops;
@@ -481,11 +485,6 @@ fn run_machine_tasks(
                 caused_by_cee: true,
             });
         }
-    }
-    if !tasks.is_empty() {
-        rec.counter_add("screen.core_screens", core_screens);
-        rec.counter_add("screen.test_ops", test_ops);
-        rec.counter_add("screen.detections", detections);
     }
 }
 
@@ -639,8 +638,9 @@ impl BurnInCampaign {
             .take_while(|(h, _)| *h < until_hour)
             .count();
         let due_batch = &self.queue[self.cursor..self.cursor + due];
+        let before = self.stats;
         let hot;
-        let plan = if per_task_trace(rec) {
+        let plan = if machine_span_walk(rec) {
             ScreenPlan::EveryMachine
         } else {
             hot = hot_machines(pop, detected);
@@ -686,6 +686,7 @@ impl BurnInCampaign {
             rec,
         );
         if let Some((_, end)) = span {
+            charge_counters(rec, before, self.stats);
             rec.end(end, "screen.burnin");
         }
         records
@@ -742,7 +743,7 @@ impl OfflineScreener {
         shard: Option<(u32, u32)>,
         plan: &ScreenPlan<'_>,
         stats: &mut ScreeningStats,
-    ) -> Vec<MachineTask> {
+    ) -> (Vec<MachineTask>, bool) {
         let n_machines = topo.machines().len() as u64;
         // Clamped so a sweep never visits a machine twice (a duplicate
         // would see a stale detected-snapshot under the parallel fan-out).
@@ -755,7 +756,7 @@ impl OfflineScreener {
         let ops_per_screen = era.ops_per_unit * era.units.len() as u64;
         // Rotate deterministically through the fleet.
         let start = (sweep_idx * per_sweep) % n_machines;
-        let mut tasks = Vec::new();
+        let (mut tasks, mut visits) = (Vec::new(), false);
         for k in 0..per_sweep {
             let machine = ((start + k) % n_machines) as u32;
             // The rotation arithmetic (`start`, `per_sweep`) is global so
@@ -764,6 +765,7 @@ impl OfflineScreener {
             if !shard_owns(shard, machine) || !topo.is_deployed(machine, hour) {
                 continue;
             }
+            visits = true;
             match plan {
                 ScreenPlan::HotOnly(hot) if hot.binary_search(&machine).is_err() => {
                     let screens = topo.cores_on(machine) * points;
@@ -782,7 +784,7 @@ impl OfflineScreener {
                 }),
             }
         }
-        tasks
+        (tasks, visits)
     }
 
     /// Runs the campaign over `months`, skipping cores already in
@@ -868,7 +870,7 @@ impl OfflineCampaign {
     ) -> Vec<DetectionRecord> {
         let mut records = Vec::new();
         let hot;
-        let plan = if per_task_trace(rec) {
+        let plan = if machine_span_walk(rec) {
             ScreenPlan::EveryMachine
         } else {
             // `hot` stays a superset across this call's sweeps: new
@@ -878,7 +880,8 @@ impl OfflineCampaign {
             ScreenPlan::HotOnly(&hot)
         };
         while self.next_hour < self.total_hours && self.next_hour < until_hour {
-            let tasks = self.screener.sweep_tasks(
+            let before = self.stats;
+            let (tasks, visits) = self.screener.sweep_tasks(
                 topo,
                 self.next_hour,
                 self.sweep_idx,
@@ -886,9 +889,7 @@ impl OfflineCampaign {
                 &plan,
                 &mut self.stats,
             );
-            let span_end =
-                self.next_hour + tasks.iter().map(|t| t.drain_hours).fold(0.0f64, f64::max);
-            if !tasks.is_empty() {
+            if visits {
                 rec.begin(self.next_hour, "screen.offline");
             }
             run_machine_tasks(
@@ -904,8 +905,10 @@ impl OfflineCampaign {
                 },
                 rec,
             );
-            if !tasks.is_empty() {
-                rec.end(span_end, "screen.offline");
+            if visits {
+                charge_counters(rec, before, self.stats);
+                let drain = self.screener.drain_hours_per_machine;
+                rec.end(self.next_hour + drain, "screen.offline");
             }
             self.sweep_idx += 1;
             self.next_hour += self.screener.interval_hours;
@@ -953,13 +956,15 @@ impl Default for OnlineScreener {
 impl OnlineScreener {
     /// One pass's per-machine tasks (every machine deployed at `hour`,
     /// with the era's op budget scaled to spare cycles), folding
-    /// plan-skipped machines into `stats`.
+    /// plan-skipped machines into `stats`, and whether the pass visits
+    /// any machine at all.
     ///
     /// Under [`ScreenPlan::HotOnly`] the pass never walks the fleet:
     /// tasks come from the hot set (ascending machine order, matching the
     /// full walk) and the healthy remainder is a [`FleetTopology::
     /// deployed_cores`] lookup — one screen per core at the nominal
-    /// point, zero detections, no randomness.
+    /// point, zero detections, no randomness. Under the full walk that
+    /// remainder is zero.
     fn pass_tasks(
         &self,
         topo: &FleetTopology,
@@ -968,7 +973,7 @@ impl OnlineScreener {
         shard: Option<(u32, u32)>,
         plan: &ScreenPlan<'_>,
         stats: &mut ScreeningStats,
-    ) -> Vec<MachineTask> {
+    ) -> (Vec<MachineTask>, bool) {
         let month = (hour / 730.0) as u32;
         let mut scaled = self.schedule.era_at(month).clone();
         scaled.ops_per_unit =
@@ -984,36 +989,26 @@ impl OnlineScreener {
             drain_hours: 0.0,
             method: DetectionMethod::Online,
         };
-        match plan {
-            ScreenPlan::EveryMachine => topo
-                .machines()
-                .iter()
-                .filter(|m| shard_owns(shard, m.machine) && topo.is_deployed(m.machine, hour))
-                .map(|m| task(m.machine))
-                .collect(),
-            ScreenPlan::HotOnly(hot) => {
-                let mut hot_cores = 0u64;
-                let tasks: Vec<MachineTask> = hot
-                    .iter()
-                    .copied()
-                    .filter(|&machine| {
-                        shard_owns(shard, machine) && topo.is_deployed(machine, hour)
-                    })
-                    .inspect(|&machine| hot_cores += topo.cores_on(machine))
-                    .map(task)
-                    .collect();
-                // The closed-form remainder is shard-scoped too: ranged
-                // deployed-core sums over a machine partition add to the
-                // global prefix-sum lookup exactly (same integer cores).
-                let clean = match shard {
-                    None => topo.deployed_cores(hour) - hot_cores,
-                    Some((lo, hi)) => topo.deployed_cores_in_range(lo, hi, hour) - hot_cores,
-                };
-                stats.core_screens += clean;
-                stats.test_ops += clean * ops_per_screen;
-                tasks
+        let visited =
+            |&machine: &u32| shard_owns(shard, machine) && topo.is_deployed(machine, hour);
+        let tasks: Vec<MachineTask> = match plan {
+            ScreenPlan::EveryMachine => {
+                let all = topo.machines().iter().map(|m| m.machine);
+                all.filter(visited).map(task).collect()
             }
-        }
+            ScreenPlan::HotOnly(hot) => hot.iter().copied().filter(visited).map(task).collect(),
+        };
+        // The closed-form remainder is shard-scoped too: ranged
+        // deployed-core sums over a machine partition add to the global
+        // prefix-sum lookup exactly (same integer cores).
+        let deployed = match shard {
+            None => topo.deployed_cores(hour),
+            Some((lo, hi)) => topo.deployed_cores_in_range(lo, hi, hour),
+        };
+        let clean = deployed - tasks.iter().map(|t| topo.cores_on(t.machine)).sum::<u64>();
+        stats.core_screens += clean;
+        stats.test_ops += clean * ops_per_screen;
+        (tasks, deployed > 0)
     }
 
     /// Runs the campaign over `months`.
@@ -1097,7 +1092,7 @@ impl OnlineCampaign {
     ) -> Vec<DetectionRecord> {
         let mut records = Vec::new();
         let hot;
-        let plan = if per_task_trace(rec) {
+        let plan = if machine_span_walk(rec) {
             ScreenPlan::EveryMachine
         } else {
             // A superset across this call's passes, as for offline sweeps.
@@ -1105,7 +1100,8 @@ impl OnlineCampaign {
             ScreenPlan::HotOnly(&hot)
         };
         while self.next_hour < self.total_hours && self.next_hour < until_hour {
-            let tasks = self.screener.pass_tasks(
+            let before = self.stats;
+            let (tasks, visits) = self.screener.pass_tasks(
                 topo,
                 self.next_hour,
                 self.pass,
@@ -1113,7 +1109,7 @@ impl OnlineCampaign {
                 &plan,
                 &mut self.stats,
             );
-            if !tasks.is_empty() {
+            if visits {
                 rec.begin(self.next_hour, "screen.online");
             }
             run_machine_tasks(
@@ -1129,7 +1125,8 @@ impl OnlineCampaign {
                 },
                 rec,
             );
-            if !tasks.is_empty() {
+            if visits {
+                charge_counters(rec, before, self.stats);
                 rec.end(self.next_hour, "screen.online");
             }
             self.pass += 1;
@@ -1154,6 +1151,7 @@ mod tests {
     use super::*;
     use mercurial_fault::{library, Activation, CoreFaultProfile, Lesion};
     use mercurial_fleet::topology::FleetConfig;
+    use mercurial_trace::TraceFlags;
 
     fn topo(machines: u32, seed: u64) -> FleetTopology {
         FleetTopology::build(FleetConfig::tiny(machines, seed))
@@ -1545,16 +1543,53 @@ mod tests {
         assert_eq!(records, batch_sorted);
     }
 
-    #[test]
-    fn untraced_fast_plans_match_the_traced_task_walk() {
-        // The untraced campaigns skip all-healthy machines via closed-form
-        // accounting; a recording recorder forces the per-machine walk.
-        // Records, stats (including the f64 drain accumulator), detected
-        // sets, and logs must be bit-for-bit identical either way.
-        use mercurial_trace::TraceFlags;
+    /// Steps burn-in, offline and online campaigns over `shard` for 18
+    /// months in 73-hour slices (the closed loop's cadence) into `rec`.
+    fn run_campaigns(
+        topo: &FleetTopology,
+        pop: &Population,
+        shard: Option<(u32, u32)>,
+        rec: &mut Recorder,
+    ) -> (
+        Vec<DetectionRecord>,
+        [ScreeningStats; 3],
+        Vec<CoreUid>,
+        SignalLog,
+    ) {
+        let months = 18u32;
+        let burnin = BurnIn {
+            schedule: EraSchedule::default_history(),
+            ops_multiplier: 5,
+            parallelism: 1,
+        };
+        let offline = OfflineScreener {
+            fraction_per_sweep: 0.5,
+            ..OfflineScreener::default()
+        };
+        let mut bc = burnin.campaign_shard(topo, shard);
+        let mut off = offline.campaign_shard(months, shard);
+        let mut on = OnlineScreener::default().campaign_shard(months, shard);
+        let mut detected = FastSet::default();
+        let mut log = SignalLog::new();
+        let mut records = Vec::new();
+        let mut until = 73.0;
+        while until <= months as f64 * 730.0 + 73.0 {
+            let (d, l) = (&mut detected, &mut log);
+            records.extend(bc.step_until_traced(topo, pop, until, d, l, rec));
+            records.extend(off.step_until_traced(topo, pop, until, d, l, rec));
+            records.extend(on.step_until_traced(topo, pop, until, d, l, rec));
+            until += 73.0;
+        }
+        let mut det: Vec<CoreUid> = detected.into_iter().collect();
+        det.sort_unstable();
+        (records, [bc.stats(), off.stats(), on.stats()], det, log)
+    }
+
+    /// A 24-machine fleet rolled out over 6 months whose mercurial cores
+    /// sit on machines 2, 5, 12 and 17 — machines 18..24 are all healthy.
+    fn plan_fixture() -> (FleetTopology, Population) {
         let mut cfg = FleetConfig::tiny(24, 39);
         cfg.rollout_months = 6;
-        let topo = FleetTopology::build(cfg);
         let defects = vec![
             hot_core(2),
             hot_core(17),
@@ -1565,68 +1600,59 @@ mod tests {
             (CoreUid::new(12, 0, 0), library::low_freq_worse_alu(0.9)),
         ];
         let pop = Population::with_explicit(39, defects);
-        let months = 18u32;
-        let run_all = |traced: bool| {
-            let mut rec = if traced {
-                Recorder::with_flags(TraceFlags::enabled())
-            } else {
-                Recorder::disabled()
+        (FleetTopology::build(cfg), pop)
+    }
+
+    /// Flags that force the per-machine walk.
+    fn walk_flags() -> TraceFlags {
+        TraceFlags {
+            machine_spans: true,
+            ..TraceFlags::enabled()
+        }
+    }
+
+    #[test]
+    fn untraced_fast_plans_match_the_traced_task_walk() {
+        // The sparse plan skips all-healthy machines via closed-form
+        // accounting; machine spans force the per-machine walk. Records,
+        // stats (including the f64 drain accumulator), detected sets, and
+        // logs must be bit-for-bit identical either way.
+        let (topo, pop) = plan_fixture();
+        let fast = run_campaigns(&topo, &pop, None, &mut Recorder::disabled());
+        let walk = run_campaigns(&topo, &pop, None, &mut Recorder::with_flags(walk_flags()));
+        assert!(!fast.0.is_empty(), "test needs detections to compare");
+        assert_eq!(fast.0, walk.0, "records diverge between plans");
+        assert_eq!(fast.1, walk.1, "stats diverge between plans");
+        assert_eq!(fast.2, walk.2, "detected sets diverge between plans");
+        assert_eq!(fast.3.all(), walk.3.all(), "logs diverge between plans");
+    }
+
+    #[test]
+    fn traced_sparse_plan_records_the_walk_minus_machine_spans() {
+        // Pass spans follow the schedule and counters the stats delta, so
+        // a traced run on the sparse plan must record exactly the walk's
+        // events and counters once `screen.machine` spans are removed. On
+        // shard 18..24 no sweep or pass visits a hot machine: the sparse
+        // plan gives them no task, yet their spans and counters remain.
+        let (topo, pop) = plan_fixture();
+        for shard in [None, Some((0, 12)), Some((18, 24))] {
+            let trace = |flags| {
+                let mut rec = Recorder::with_flags(flags);
+                run_campaigns(&topo, &pop, shard, &mut rec);
+                rec.finish()
             };
-            let mut detected = FastSet::default();
-            let mut log = SignalLog::new();
-            let burnin = BurnIn {
-                schedule: EraSchedule::default_history(),
-                ops_multiplier: 5,
-                parallelism: 1,
-            };
-            let offline = OfflineScreener {
-                fraction_per_sweep: 0.5,
-                ..OfflineScreener::default()
-            };
-            let online = OnlineScreener::default();
-            let mut bc = burnin.campaign(&topo);
-            let mut off = offline.campaign(months);
-            let mut on = online.campaign(months);
-            let mut records = Vec::new();
-            let mut until = 73.0;
-            while until <= months as f64 * 730.0 + 73.0 {
-                records.extend(bc.step_until_traced(
-                    &topo,
-                    &pop,
-                    until,
-                    &mut detected,
-                    &mut log,
-                    &mut rec,
-                ));
-                records.extend(off.step_until_traced(
-                    &topo,
-                    &pop,
-                    until,
-                    &mut detected,
-                    &mut log,
-                    &mut rec,
-                ));
-                records.extend(on.step_until_traced(
-                    &topo,
-                    &pop,
-                    until,
-                    &mut detected,
-                    &mut log,
-                    &mut rec,
-                ));
-                until += 73.0;
+            let sparse = trace(TraceFlags::enabled());
+            let mut walk = trace(walk_flags());
+            let with_spans = walk.events.len();
+            walk.events.retain(|e| e.name != "screen.machine");
+            assert!(walk.events.len() < with_spans, "walk emits machine spans");
+            for span in ["screen.burnin", "screen.offline", "screen.online"] {
+                let n = sparse.events.iter().filter(|e| e.name == span).count();
+                assert!(n > 0, "{shard:?}: no {span} span");
             }
-            let mut det: Vec<CoreUid> = detected.into_iter().collect();
-            det.sort_unstable();
-            (records, [bc.stats(), off.stats(), on.stats()], det, log)
-        };
-        let (r_fast, s_fast, d_fast, l_fast) = run_all(false);
-        let (r_traced, s_traced, d_traced, l_traced) = run_all(true);
-        assert!(!r_fast.is_empty(), "test needs detections to compare");
-        assert_eq!(r_fast, r_traced, "records diverge between plans");
-        assert_eq!(s_fast, s_traced, "stats diverge between plans");
-        assert_eq!(d_fast, d_traced, "detected sets diverge between plans");
-        assert_eq!(l_fast.all(), l_traced.all(), "logs diverge between plans");
+            assert!(sparse.metrics.counter("screen.core_screens") > 0);
+            assert_eq!(sparse, walk, "{shard:?}: trace diverges from the walk");
+        }
     }
 
     #[test]
@@ -1649,35 +1675,8 @@ mod tests {
             (CoreUid::new(12, 0, 0), library::low_freq_worse_alu(0.9)),
         ];
         let pop = Population::with_explicit(39, defects);
-        let months = 18u32;
-        let burnin = BurnIn {
-            schedule: EraSchedule::default_history(),
-            ops_multiplier: 5,
-            parallelism: 1,
-        };
-        let offline = OfflineScreener {
-            fraction_per_sweep: 0.5,
-            ..OfflineScreener::default()
-        };
-        let online = OnlineScreener::default();
-
         let run_shard = |shard: Option<(u32, u32)>| {
-            let mut detected = FastSet::default();
-            let mut log = SignalLog::new();
-            let mut bc = burnin.campaign_shard(&topo, shard);
-            let mut off = offline.campaign_shard(months, shard);
-            let mut on = online.campaign_shard(months, shard);
-            let mut records = Vec::new();
-            let mut until = 73.0;
-            while until <= months as f64 * 730.0 + 73.0 {
-                records.extend(bc.step_until(&topo, &pop, until, &mut detected, &mut log));
-                records.extend(off.step_until(&topo, &pop, until, &mut detected, &mut log));
-                records.extend(on.step_until(&topo, &pop, until, &mut detected, &mut log));
-                until += 73.0;
-            }
-            let mut det: Vec<CoreUid> = detected.into_iter().collect();
-            det.sort_unstable();
-            (records, [bc.stats(), off.stats(), on.stats()], det, log)
+            run_campaigns(&topo, &pop, shard, &mut Recorder::disabled())
         };
         let canon_records = |records: &[DetectionRecord]| {
             let mut v = records.to_vec();

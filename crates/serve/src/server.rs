@@ -27,7 +27,7 @@ use mercurial::shardloop::{
 };
 use mercurial::{FleetExperiment, Scenario};
 use mercurial_fleet::SignalLog;
-use mercurial_prof::Prof;
+use mercurial_prof::{intern, Prof};
 use mercurial_trace::export::{metrics_to_prometheus, prom_label_escape};
 use mercurial_watch::{Baseline, RuleSet};
 
@@ -240,10 +240,10 @@ fn serve_run(
                     profile,
                 } => {
                     for c in counters {
-                        rec.counter_add(intern(c.name), c.value);
+                        rec.counter_add(intern(&c.name), c.value);
                     }
                     for g in gauges {
-                        rec.gauge(0.0, intern(g.name), g.value);
+                        rec.gauge(0.0, intern(&g.name), g.value);
                     }
                     let _w = prof.span("serve.workers");
                     prof.absorb_entries(&profile);
@@ -315,13 +315,6 @@ fn recv_epoch_frames(
         return Err(proto_err("expected Trace"));
     };
     Ok((log, *report, jsonl))
-}
-
-/// Worker metric names arrive as owned strings but `MetricSet` interns
-/// `&'static str`. The names form a small fixed compile-time set, so
-/// leaking each distinct arrival is bounded and exact.
-fn intern(name: String) -> &'static str {
-    Box::leak(name.into_boxed_str())
 }
 
 /// The status page: build identity, run progress, runtime wall-clock
