@@ -2,9 +2,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-workspace fmt fmt-check clippy bench speedup fuzz-smoke e15-smoke trace-smoke watch-smoke sparse-smoke serve-smoke frontier-smoke audit-smoke prof-smoke
+.PHONY: ci no-twins build test test-workspace fmt fmt-check clippy bench speedup fuzz-smoke e15-smoke trace-smoke watch-smoke sparse-smoke serve-smoke frontier-smoke audit-smoke prof-smoke
 
-ci: build test-workspace fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke sparse-smoke serve-smoke frontier-smoke audit-smoke prof-smoke
+ci: no-twins build test-workspace fmt-check clippy fuzz-smoke e15-smoke trace-smoke watch-smoke sparse-smoke serve-smoke frontier-smoke audit-smoke prof-smoke
 
 build:
 	$(CARGO) build --release
@@ -23,6 +23,12 @@ fmt-check:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# One path per operation: every instrumented method takes a
+# `&mut Recorder` (`Recorder::disabled()` records nothing), so no
+# `foo`/`foo_traced` pair may come back.
+no-twins:
+	! git grep -nE 'fn \w+_traced\b' -- crates src
 
 bench:
 	$(CARGO) bench -p mercurial-bench

@@ -25,12 +25,11 @@
 //! that only add `screen.machine` lines to the default trace
 //! (`make trace-smoke`).
 
-use std::time::Instant;
-
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::fault::CoreUid;
 use mercurial::trace::{incident_timeline, EventKind, Recorder, TraceFlags};
 use mercurial::{FleetExperiment, Scenario};
+use mercurial_bench::{best_of, interleaved_best_of, timed};
 use mercurial_fleet::{SignalLog, SimSummary};
 use mercurial_prof::Prof;
 
@@ -150,42 +149,8 @@ fn run_smoke() {
 
 // -------------------------------------------------------------- full mode
 
-/// Best-of-`reps` wall-clock seconds for `f`.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Per-arm best of `reps` rounds. Every round times each arm once, and
-/// the starting arm rotates so no arm always runs first or last.
-fn interleaved_best_of<const N: usize>(
-    reps: usize,
-    arms: [&mut dyn FnMut() -> f64; N],
-) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
-    for round in 0..reps {
-        for k in 0..N {
-            let i = (round + k) % N;
-            best[i] = best[i].min(arms[i]());
-        }
-    }
-    best
-}
-
-/// Wall-clock seconds of one call of `f`, and its result.
-fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
-    let t = Instant::now();
-    let out = f();
-    (t.elapsed().as_secs_f64(), out)
-}
-
 fn run_full() {
-    let scenario = load_paper_scenario();
+    let scenario = mercurial_bench::load_paper_scenario(0x0e16);
     mercurial_bench::header(&format!(
         "E16 — tracing overhead   [{}: {} machines, {} months]",
         scenario.name, scenario.fleet.machines, scenario.sim.months
@@ -204,7 +169,7 @@ fn run_full() {
         let mut state = sim.begin();
         let mut log = SignalLog::new();
         let mut summary = SimSummary::default();
-        sim.step_epochs_traced(&mut state, u32::MAX, &mut log, &mut summary, rec);
+        sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary, rec);
         log.sort_by_time();
         (log, summary)
     };
@@ -305,14 +270,4 @@ fn run_full() {
         &body,
     );
     println!("\nbaseline written to BENCH_trace.json");
-}
-
-/// The committed paper scenario if present (runs from the repo), else the
-/// environment-selected scale.
-fn load_paper_scenario() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.json");
-    match std::fs::read_to_string(path) {
-        Ok(json) => Scenario::from_json(&json).expect("scenarios/paper.json parses"),
-        Err(_) => mercurial_bench::scenario_from_env(0x0e16),
-    }
 }

@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use mercurial::closedloop::ClosedLoopDriver;
 use mercurial::fleet::{SignalLog, SimEngine};
+use mercurial::trace::Recorder;
 use mercurial::{FleetExperiment, Scenario};
 
 /// The 20k-machine dense-path closed-loop time before this refactor
@@ -39,16 +40,6 @@ fn main() {
         run_smoke();
     } else {
         run_full();
-    }
-}
-
-/// The committed paper scenario if present (runs from the repo), else the
-/// environment-selected scale.
-fn load_paper_scenario() -> Scenario {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.json");
-    match std::fs::read_to_string(path) {
-        Ok(json) => Scenario::from_json(&json).expect("scenarios/paper.json parses"),
-        Err(_) => mercurial_bench::scenario_from_env(0x0e18),
     }
 }
 
@@ -74,6 +65,7 @@ fn fleet_study_scenario(base: &Scenario) -> Scenario {
 // ------------------------------------------------------------- smoke mode
 
 fn run_smoke() {
+    let off = &mut Recorder::disabled();
     mercurial_bench::header("E18 — sparse fleet core contracts (smoke)");
 
     // 1. Traced driver parity: watch report, trace JSONL, signal log, and
@@ -142,7 +134,7 @@ fn run_smoke() {
         let mut log = SignalLog::new();
         let mut summary = Default::default();
         while !state.is_done() {
-            sim.step_epochs(&mut state, granularity, &mut log, &mut summary);
+            sim.step_epochs(&mut state, granularity, &mut log, &mut summary, off);
         }
         log.sort_by_time();
         assert_eq!(log.all(), ref_log.all(), "log diverges at {granularity}");
@@ -155,7 +147,7 @@ fn run_smoke() {
     //    loop must finish within the budget — the larger of the recorded
     //    pre-refactor 20k dense time and 4× the in-process 20k dense time
     //    (so a slow CI machine scales the budget with itself).
-    let paper = load_paper_scenario();
+    let paper = mercurial_bench::load_paper_scenario(0x0e18);
     let t = Instant::now();
     let dense_20k = closed_loop_scenario(&paper, SimEngine::Dense);
     let out_20k = ClosedLoopDriver::execute(&dense_20k);
@@ -183,7 +175,7 @@ fn run_smoke() {
     let mut summary = Default::default();
     let t = Instant::now();
     while !state.is_done() {
-        sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary);
+        sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary, off);
     }
     let sim_secs = t.elapsed().as_secs_f64();
     let clock = state.clock_stats();
@@ -227,7 +219,8 @@ fn run_smoke() {
 // -------------------------------------------------------------- full mode
 
 fn run_full() {
-    let paper = load_paper_scenario();
+    let off = &mut Recorder::disabled();
+    let paper = mercurial_bench::load_paper_scenario(0x0e18);
     mercurial_bench::header(&format!(
         "E18 — sparse fleet core   [{}: {} machines, {} months]",
         paper.name, paper.fleet.machines, paper.sim.months
@@ -283,7 +276,7 @@ fn run_full() {
     {
         let _p = prof.span("study.sim_1m");
         while !state.is_done() {
-            sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary);
+            sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary, off);
         }
     }
     let sim_1m = t.elapsed().as_secs_f64();

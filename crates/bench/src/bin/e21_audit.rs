@@ -24,6 +24,7 @@ use std::time::Instant;
 
 use mercurial::audit::{AuditReport, CaseLabel, DecisionLedger, GroundTruth};
 use mercurial::closedloop::ClosedLoopDriver;
+use mercurial::corpus::hash::fnv1a64;
 use mercurial::fleet::SimEngine;
 use mercurial::scenario::{ClassPolicy, ImpairConfig};
 use mercurial::Scenario;
@@ -66,16 +67,6 @@ fn report_of(s: &Scenario, trace: &mercurial_trace::Trace) -> (DecisionLedger, A
     (ledger, report)
 }
 
-/// FNV-1a over a byte string: stable, dependency-free content digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 // ------------------------------------------------------------- smoke mode
 
 fn run_smoke() {
@@ -91,17 +82,17 @@ fn run_smoke() {
         assert_eq!(out.pipeline.sim_summary.corruptions, 68_632_069);
         assert_eq!(out.pipeline.detections.len(), 17);
         assert_eq!(
-            fnv1a(out.series.to_csv().as_bytes()),
+            fnv1a64(out.series.to_csv().as_bytes()),
             0x9d12_71ac_ddd0_635f,
             "audit-off series CSV moved"
         );
         assert_eq!(
-            fnv1a(out.trace.to_jsonl().as_bytes()),
+            fnv1a64(out.trace.to_jsonl().as_bytes()),
             0xd7f3_ef09_599a_6f15,
             "audit-off trace JSONL moved"
         );
         assert_eq!(
-            fnv1a(out.watch.as_ref().expect("watch on").render().as_bytes()),
+            fnv1a64(out.watch.as_ref().expect("watch on").render().as_bytes()),
             0x8c7d_8a27_4984_3066,
             "audit-off watch render moved"
         );

@@ -7,6 +7,8 @@
 //! mercurial-bench`).
 #![warn(missing_docs)]
 
+use std::time::Instant;
+
 /// Chooses experiment scale from the `MERCURIAL_SCALE` environment
 /// variable: `paper` (20,000 machines, 36 months — minutes of runtime) or
 /// anything else / unset for the laptop-friendly demo scale.
@@ -19,6 +21,52 @@ pub fn scenario_from_env(seed: u64) -> mercurial::Scenario {
         }
         _ => mercurial::Scenario::demo(seed),
     }
+}
+
+/// Loads the committed paper-scale scenario (`scenarios/paper.json`),
+/// falling back to [`scenario_from_env`] with `fallback_seed` when the
+/// file is not there (a crate built outside the repository).
+pub fn load_paper_scenario(fallback_seed: u64) -> mercurial::Scenario {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/paper.json");
+    match std::fs::read_to_string(path) {
+        Ok(json) => mercurial::Scenario::from_json(&json).expect("scenarios/paper.json parses"),
+        Err(_) => scenario_from_env(fallback_seed),
+    }
+}
+
+/// Best-of-`reps` wall-clock seconds for `f`.
+pub fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// Per-arm best of `reps` rounds. Every round times each arm once, and
+/// the starting arm rotates so no arm always runs first or last. Each
+/// arm returns its own measured seconds.
+pub fn interleaved_best_of<const N: usize>(
+    reps: usize,
+    arms: [&mut dyn FnMut() -> f64; N],
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for round in 0..reps {
+        for k in 0..N {
+            let i = (round + k) % N;
+            best[i] = best[i].min(arms[i]());
+        }
+    }
+    best
+}
+
+/// Wall-clock seconds of one call of `f`, and its result.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t = Instant::now();
+    let out = f();
+    (t.elapsed().as_secs_f64(), out)
 }
 
 /// Prints a section header.

@@ -34,14 +34,13 @@ use crate::experiment::FleetExperiment;
 use crate::pipeline::{PipelineOutcome, PipelineRun};
 use crate::scenario::Scenario;
 use crate::shardloop::{
-    record_alerts, record_ground_truth_onsets, watch_engine, ClassMetricNames, FleetAggregator,
-    FleetShard,
+    record_ground_truth_onsets, watch_engine, EpochTelemetry, FleetAggregator, FleetShard,
 };
-use mercurial_fleet::sim::SimSummary;
+use mercurial_fleet::sim::{ClassTally, SimSummary};
 use mercurial_fleet::SignalLog;
-use mercurial_metrics::{ClassPoint, EpochSeries};
+use mercurial_metrics::EpochSeries;
 use mercurial_prof::Prof;
-use mercurial_trace::{MetricSet, TraceSink};
+use mercurial_trace::{Recorder, TraceSink};
 use mercurial_watch::{Baseline, EpochRow, RuleSet, WatchReport};
 
 /// Everything a closed-loop run produced: the familiar end-of-window
@@ -131,8 +130,8 @@ impl ClosedLoopDriver {
         let epoch_hours = scenario.sim.epoch_hours;
         let mut log = SignalLog::new();
         let mut summary = SimSummary::default();
-        let mut series = EpochSeries::new(epoch_hours);
-        let mut engine = watch_engine(scenario, &opts.rules);
+        let mut telemetry =
+            EpochTelemetry::new(scenario, &sim, watch_engine(scenario, &opts.rules));
         let disabled_prof = Prof::disabled();
         let prof = opts.prof.unwrap_or(&disabled_prof);
         let mut rec = scenario.recorder();
@@ -142,27 +141,18 @@ impl ClosedLoopDriver {
         // policy ladder still trades overhead for coverage); all class
         // surfacing is gated so legacy runs stay bit-for-bit.
         let classes_on = scenario.workloads.enabled;
-        let mut class_names: Vec<String> = Vec::new();
-        let mut class_gauges: Vec<ClassMetricNames> = Vec::new();
         if classes_on {
-            class_names = sim.class_names();
             for (ix, p) in scenario
                 .workloads
-                .initial_policies(&class_names)
+                .initial_policies(telemetry.class_names())
                 .into_iter()
                 .enumerate()
             {
                 state.set_policy(ix, p);
             }
-            class_gauges = class_names
-                .iter()
-                .map(|n| ClassMetricNames::gauges(n))
-                .collect();
-            series.set_class_names(class_names.clone());
         }
         while !state.is_done() {
             let h0 = state.hour();
-            let h1 = h0 + epoch_hours;
             let before = summary.corruptions;
             let class_before = if classes_on {
                 state.class_tallies().to_vec()
@@ -171,101 +161,46 @@ impl ClosedLoopDriver {
             };
             {
                 let _p = prof.span("fleet.step");
-                sim.step_epoch_traced(&mut state, &mut log, &mut summary, &mut rec);
+                sim.step_epochs(&mut state, 1, &mut log, &mut summary, &mut rec);
             }
+            let class_deltas: Vec<ClassTally> = state
+                .class_tallies()
+                .iter()
+                .zip(&class_before)
+                .map(|(now, then)| now.delta_since(then))
+                .collect();
             // Open loop: nothing is ever quarantined mid-window, so
             // capacity is flat at 1.0 and every defect stays active.
-            let active = state.active_deployed_mercurial(topo, h0);
-            let ops = summary.corruptions - before;
-            rec.gauge(h1, "fleet.active_mercurial", active as f64);
-            let class_points: Vec<ClassPoint> = if classes_on {
-                let deltas: Vec<_> = state
-                    .class_tallies()
-                    .iter()
-                    .zip(&class_before)
-                    .map(|(now, then)| now.delta_since(then))
-                    .collect();
-                // Per-class epoch gauges come before the boundary marker
-                // so the replay path snapshots them into this epoch row.
-                for (names, t) in class_gauges.iter().zip(&deltas) {
-                    rec.gauge(h1, names.corrupt_ops, t.corrupt_ops as f64);
-                    rec.gauge(
-                        h1,
-                        names.caught,
-                        (t.app_caught + t.mitigation_caught) as f64,
-                    );
-                    rec.gauge(h1, names.user_reports, t.user_reports as f64);
-                    rec.gauge(h1, names.overhead_ops, t.overhead_ops() as f64);
-                }
-                deltas
-                    .iter()
-                    .map(|t| ClassPoint {
-                        corrupt_ops: t.corrupt_ops,
-                        caught: t.app_caught + t.mitigation_caught,
-                        user_reports: t.user_reports,
-                        overhead_ops: t.overhead_ops(),
-                    })
-                    .collect()
-            } else {
-                Vec::new()
+            let row = EpochRow {
+                hour: h0 + epoch_hours,
+                capacity: 1.0,
+                capacity_with_safetask: 1.0,
+                corrupt_ops: (summary.corruptions - before) as f64,
+                active_mercurial: state.active_deployed_mercurial(topo, h0) as f64,
             };
-            // Last gauge of every epoch boundary: the replay path
-            // (`WatchInput::from_jsonl`) closes the epoch row on it.
-            rec.gauge(h1, "epoch.corrupt_ops", ops as f64);
-            series.push(1.0, 1.0, ops, active);
-            if classes_on {
-                series.push_classes(class_points.clone());
-            }
-            if let Some(eng) = engine.as_mut() {
-                let _watch_span = prof.span("watch.eval");
-                let row = EpochRow {
-                    hour: h1,
-                    capacity: 1.0,
-                    capacity_with_safetask: 1.0,
-                    corrupt_ops: ops as f64,
-                    active_mercurial: active as f64,
-                };
-                let fired = if classes_on {
-                    let classes: Vec<(String, f64)> = class_names
-                        .iter()
-                        .cloned()
-                        .zip(class_points.iter().map(|p| p.corrupt_ops as f64))
-                        .collect();
-                    eng.push_epoch_classed(row, &classes)
-                } else {
-                    eng.push_epoch(row)
-                };
-                record_alerts(&mut rec, &fired, scenario.audit.enabled);
-            }
+            telemetry.record(&mut rec, prof, row, &class_deltas);
             if let Some(s) = opts.sink.as_mut() {
                 s.drain(&mut rec).expect("stream sink drain");
             }
         }
         log.sort_by_time();
-        // The batch back half runs untraced unless the audit layer wants
-        // decision provenance — the plain traced open loop stays
+        // The batch back half records decision provenance only when the
+        // audit layer wants it — the plain traced open loop stays
         // bit-for-bit with its pre-audit exports.
         let batch_span = prof.span("pipeline.batch");
-        let pipeline = if scenario.audit.enabled {
-            PipelineRun::complete_from_signals_traced(scenario, experiment, log, summary, &mut rec)
+        let mut off = Recorder::disabled();
+        let batch_rec = if scenario.audit.enabled {
+            &mut rec
         } else {
-            PipelineRun::complete_from_signals(scenario, experiment, log, summary)
+            &mut off
         };
+        let pipeline =
+            PipelineRun::complete_from_signals(scenario, experiment, log, summary, batch_rec);
         drop(batch_span);
         for latency in &pipeline.detection_latency_hours {
             rec.observe("detect.latency_hours", *latency);
         }
-        let watch = match engine {
-            Some(eng) => {
-                let _watch_span = prof.span("watch.eval");
-                let empty = MetricSet::new();
-                let (report, end_alerts) =
-                    eng.finish(rec.metrics().unwrap_or(&empty), opts.baseline);
-                record_alerts(&mut rec, &end_alerts, scenario.audit.enabled);
-                Some(report)
-            }
-            None => None,
-        };
+        let (series, watch) = telemetry.finish(&mut rec, &[], opts.baseline, prof);
         if let Some(s) = opts.sink.as_mut() {
             s.finish(&mut rec).expect("stream sink finish");
         }

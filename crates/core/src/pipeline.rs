@@ -12,7 +12,7 @@ use crate::scenario::Scenario;
 use mercurial_fault::{CoreUid, FastSet};
 use mercurial_fleet::sim::SimSummary;
 use mercurial_fleet::SignalLog;
-use mercurial_isolation::{CapacityLedger, PoolCapacity, QuarantineRegistry};
+use mercurial_isolation::{CapacityLedger, CoreState, PoolCapacity, QuarantineRegistry};
 use mercurial_screening::{
     BurnIn, DetectionRecord, HumanTriage, OfflineScreener, OnlineScreener, Scoreboard,
     ScreeningStats, TriageStats,
@@ -109,25 +109,7 @@ impl PipelineRun {
     pub fn execute_on(scenario: &Scenario, experiment: &FleetExperiment) -> PipelineOutcome {
         // 1. Production signals from the workload simulation.
         let (signals, sim_summary) = experiment.run_signals();
-        PipelineRun::complete_from_signals(scenario, experiment, signals, sim_summary)
-    }
-
-    /// Runs the post-simulation stages (screening → scoreboard → triage →
-    /// quarantine → capacity → scoring) over an already-produced signal
-    /// log. This is the batch pipeline's phase-major back half; the
-    /// closed-loop driver reuses it when feedback is disabled so both
-    /// entry points share one implementation.
-    pub fn complete_from_signals(
-        scenario: &Scenario,
-        experiment: &FleetExperiment,
-        signals: SignalLog,
-        sim_summary: SimSummary,
-    ) -> PipelineOutcome {
-        // A disabled recorder turns every provenance emission below into a
-        // no-op, and the registry's untraced ops are themselves defined as
-        // the traced ops over a disabled recorder — so this is the same
-        // computation, bit for bit.
-        Self::complete_from_signals_traced(
+        PipelineRun::complete_from_signals(
             scenario,
             experiment,
             signals,
@@ -136,11 +118,18 @@ impl PipelineRun {
         )
     }
 
-    /// [`PipelineRun::complete_from_signals`] with decision provenance:
-    /// every signal ingest, suspect flag, quarantine, triage verdict,
-    /// exoneration, and restore lands in the trace (and hence the audit
-    /// ledger) exactly as the closed-loop driver would record it.
-    pub fn complete_from_signals_traced(
+    /// Runs the post-simulation stages (screening → scoreboard → triage →
+    /// quarantine → capacity → scoring) over an already-produced signal
+    /// log. This is the batch pipeline's phase-major back half; the
+    /// closed-loop driver reuses it when feedback is disabled so both
+    /// entry points share one implementation.
+    ///
+    /// `rec` receives the decision provenance: every signal ingest,
+    /// suspect flag, quarantine, triage verdict, exoneration, and restore
+    /// lands in the trace (and hence the audit ledger) exactly as the
+    /// closed-loop driver would record it. A disabled recorder turns
+    /// every emission into a no-op without changing the computation.
+    pub fn complete_from_signals(
         scenario: &Scenario,
         experiment: &FleetExperiment,
         mut signals: SignalLog,
@@ -210,15 +199,7 @@ impl PipelineRun {
         //    controlled test failed): suspect → quarantine → confirm.
         let mut registry = QuarantineRegistry::new();
         for d in &detections {
-            registry
-                .mark_suspect_traced(d.core, d.hour, "screener failure", rec)
-                .and_then(|()| {
-                    registry.quarantine_traced(d.core, d.hour, "controlled test failed", rec)
-                })
-                .and_then(|()| {
-                    registry.confirm_traced(d.core, d.hour, "screen reproduced defect", rec)
-                })
-                .expect("fresh core walks the legal path");
+            walk(&mut registry, d.core, d.hour, SCREENED, rec);
             rec.counter_add("audit.quarantines", 1);
             rec.counter_add("audit.confirms", 1);
         }
@@ -228,22 +209,26 @@ impl PipelineRun {
         let confirmed_by_triage: HashSet<CoreUid> =
             triage_detections.iter().map(|d| d.core).collect();
         for &(core, hour) in &suspects {
-            registry
-                .mark_suspect_traced(core, hour, "signal concentration", rec)
-                .and_then(|()| registry.quarantine_traced(core, hour, "suspicion threshold", rec))
-                .expect("fresh core walks the legal path");
+            walk(&mut registry, core, hour, CROSSED, rec);
             rec.counter_add("audit.quarantines", 1);
             if confirmed_by_triage.contains(&core) {
                 let confirm_hour = hour + tuning.triage_latency_hours;
                 registry
-                    .confirm_traced(core, confirm_hour, "triage confession", rec)
+                    .transition(
+                        core,
+                        CoreState::Confirmed,
+                        confirm_hour,
+                        "triage confession",
+                        rec,
+                    )
                     .expect("quarantined core can confirm");
                 rec.instant(confirm_hour, "detect.triage", Some(core.as_u64()), 0.0);
                 rec.counter_add("audit.confirms", 1);
             } else {
                 registry
-                    .exonerate_traced(
+                    .transition(
                         core,
+                        CoreState::Exonerated,
                         hour + tuning.triage_latency_hours,
                         "nothing reproduced",
                         rec,
@@ -251,8 +236,9 @@ impl PipelineRun {
                     .expect("quarantined core can exonerate");
                 rec.counter_add("audit.exonerations", 1);
                 registry
-                    .restore_traced(
+                    .transition(
                         core,
+                        CoreState::Healthy,
                         hour + tuning.restore_latency_hours,
                         "returned to pool",
                         rec,
@@ -267,15 +253,18 @@ impl PipelineRun {
         detections.extend(triage_detections);
         detections.sort_by(|a, b| a.hour.partial_cmp(&b.hour).expect("hours are finite"));
 
-        // 6. Capacity accounting: confirmed cores leave the pool.
+        // 6. Capacity accounting: confirmed cores leave the pool. The
+        //    ledger is settled once at the end of the window, so it records
+        //    nothing: batch traces carry no `capacity.*` events.
         let mut ledger = CapacityLedger::new();
         for m in topo.machines() {
             let cores = topo.product_of(m.machine).cores_per_socket as u64
                 * topo.config().sockets_per_machine as u64;
             ledger.register_machine(m.machine, cores);
         }
-        for core in registry.in_state(mercurial_isolation::CoreState::Confirmed) {
-            ledger.remove_core(core);
+        let window_end = scenario.sim.months as f64 * 730.0;
+        for core in registry.in_state(CoreState::Confirmed) {
+            ledger.remove_core(core, window_end, &mut Recorder::disabled());
         }
 
         // 7. Scoring against ground truth.
@@ -310,6 +299,36 @@ impl PipelineRun {
             exonerated_innocents,
             detection_latency_hours,
         }
+    }
+}
+
+/// The registry walk of a core a screen caught: a failed controlled test
+/// is proof, so the core goes straight through to confirmed.
+pub(crate) const SCREENED: &[(CoreState, &str)] = &[
+    (CoreState::Suspect, "screener failure"),
+    (CoreState::Quarantined, "controlled test failed"),
+    (CoreState::Confirmed, "screen reproduced defect"),
+];
+
+/// The registry walk of a suspicion-threshold crossing: quarantined
+/// pending a deep check.
+pub(crate) const CROSSED: &[(CoreState, &str)] = &[
+    (CoreState::Suspect, "signal concentration"),
+    (CoreState::Quarantined, "suspicion threshold"),
+];
+
+/// Walks an in-service `core` through `steps`, all at `hour`.
+pub(crate) fn walk(
+    registry: &mut QuarantineRegistry,
+    core: CoreUid,
+    hour: f64,
+    steps: &[(CoreState, &'static str)],
+    rec: &mut Recorder,
+) {
+    for &(to, reason) in steps {
+        registry
+            .transition(core, to, hour, reason, rec)
+            .expect("an in-service core walks the legal path");
     }
 }
 

@@ -25,7 +25,7 @@
 //! | 4 | worker | one epoch of workload simulation, masked cores silent |
 //! | 5 | aggregator | screened-core effects, suspicion ingest from surviving evidence |
 //! | 6 | aggregator | new threshold crossings quarantined; broadcast next epoch in [`EpochCommands::quarantines`] |
-//! | 7 | aggregator | capacity/corruption telemetry point + live alert rules |
+//! | 7 | aggregator | capacity gauges, then the epoch point shared with the open loop (`EpochTelemetry`): telemetry gauges, series row, live alert rules |
 //!
 //! Quarantine and restore decisions are central; workers only apply the
 //! resulting mask changes ([`FleetShard::apply_commands`]) before
@@ -35,12 +35,14 @@
 //! routing.
 
 use crate::experiment::FleetExperiment;
-use crate::pipeline::PipelineOutcome;
+use crate::pipeline::{walk, PipelineOutcome, CROSSED, SCREENED};
 use crate::scenario::{Scenario, WorkloadsConfig};
 use mercurial_fault::{CoreUid, FastSet, FunctionalUnit};
 use mercurial_fleet::sim::{ClassTally, SimState, SimSummary};
 use mercurial_fleet::{EventKind, EventQueue, FleetSim, FleetTopology, Population, SignalLog};
-use mercurial_isolation::{CapacityLedger, QuarantineRegistry, SafeTaskPolicy, TaskUnitProfile};
+use mercurial_isolation::{
+    CapacityLedger, CoreState, QuarantineRegistry, SafeTaskPolicy, TaskUnitProfile,
+};
 use mercurial_metrics::{ClassPoint, EpochSeries};
 use mercurial_mitigation::MitigationPolicy;
 use mercurial_prof::{intern, Prof};
@@ -323,7 +325,7 @@ impl<'a> FleetShard<'a> {
         let mut screened = Vec::new();
         if campaign_due[0] {
             let _p = prof.span("screen.burnin");
-            screened.extend(self.burnin.step_until_traced(
+            screened.extend(self.burnin.step_until(
                 self.topo,
                 self.pop,
                 h1,
@@ -338,7 +340,7 @@ impl<'a> FleetShard<'a> {
         }
         if campaign_due[1] {
             let _p = prof.span("screen.offline");
-            screened.extend(self.offline.step_until_traced(
+            screened.extend(self.offline.step_until(
                 self.topo,
                 self.pop,
                 h1,
@@ -353,7 +355,7 @@ impl<'a> FleetShard<'a> {
         }
         if campaign_due[2] {
             let _p = prof.span("screen.online");
-            screened.extend(self.online.step_until_traced(
+            screened.extend(self.online.step_until(
                 self.topo,
                 self.pop,
                 h1,
@@ -386,7 +388,7 @@ impl<'a> FleetShard<'a> {
         {
             let _p = prof.span("fleet.step");
             self.sim
-                .step_epoch_traced(&mut self.state, &mut evidence, &mut self.summary, rec);
+                .step_epochs(&mut self.state, 1, &mut evidence, &mut self.summary, rec);
         }
         let class_deltas: Vec<ClassTally> = self
             .state
@@ -467,7 +469,6 @@ pub struct FleetAggregator<'a> {
     case_id: u64,
     scoreboard: Scoreboard,
     log: SignalLog,
-    series: EpochSeries,
     detections: Vec<DetectionRecord>,
     out_of_service: FastSet<CoreUid>,
     handled: FastSet<CoreUid>,
@@ -475,18 +476,15 @@ pub struct FleetAggregator<'a> {
     restore_q: EventQueue<CoreUid>,
     pending_quarantines: Vec<CoreUid>,
     exonerated_innocents: usize,
-    engine: Option<WatchEngine>,
+    /// The epoch-boundary point: series, gauges, and live alert rules.
+    telemetry: EpochTelemetry,
     /// Latest per-worker running summaries / campaign stats, replaced on
     /// every ingest (reports carry running totals, not deltas).
     worker_summaries: Vec<SimSummary>,
     worker_stats: Vec<[mercurial_screening::ScreeningStats; 3]>,
-    /// The scenario's `workloads` block (per-class surfacing and the
-    /// adaptive escalation loop are active only when it is enabled).
+    /// The scenario's `workloads` block (the adaptive escalation loop is
+    /// active only when it is enabled).
     workloads: WorkloadsConfig,
-    /// Workload class names in tally/policy order (empty when disabled).
-    class_names: Vec<String>,
-    /// Interned per-class epoch-gauge names, parallel to `class_names`.
-    class_gauges: Vec<ClassMetricNames>,
     /// The aggregator's view of each class's current policy.
     policies: Vec<MitigationPolicy>,
     /// Escalations decided this boundary, broadcast with the next epoch's
@@ -516,18 +514,12 @@ impl<'a> FleetAggregator<'a> {
         scoreboard.arm(scenario.suspicion_threshold);
         let sim = experiment.sim();
         let workloads = scenario.workloads.clone();
-        let (class_names, class_gauges, policies) = if workloads.enabled {
-            let names = sim.class_names();
-            let gauges = names.iter().map(|n| ClassMetricNames::gauges(n)).collect();
-            let policies = workloads.initial_policies(&names);
-            (names, gauges, policies)
+        let telemetry = EpochTelemetry::new(scenario, &sim, engine);
+        let policies = if workloads.enabled {
+            workloads.initial_policies(telemetry.class_names())
         } else {
-            (Vec::new(), Vec::new(), Vec::new())
+            Vec::new()
         };
-        let mut series = EpochSeries::new(scenario.sim.epoch_hours);
-        if workloads.enabled {
-            series.set_class_names(class_names.clone());
-        }
         FleetAggregator {
             topo,
             pop: experiment.population(),
@@ -547,7 +539,6 @@ impl<'a> FleetAggregator<'a> {
             case_id: 0,
             scoreboard,
             log: SignalLog::new(),
-            series,
             detections: Vec::new(),
             out_of_service: FastSet::default(),
             handled: FastSet::default(),
@@ -555,12 +546,10 @@ impl<'a> FleetAggregator<'a> {
             restore_q: EventQueue::new(),
             pending_quarantines: Vec::new(),
             exonerated_innocents: 0,
-            engine,
+            telemetry,
             worker_summaries: Vec::new(),
             worker_stats: Vec::new(),
             workloads,
-            class_names,
-            class_gauges,
             policies,
             pending_policy_changes: Vec::new(),
             audit_on: scenario.audit.enabled,
@@ -603,9 +592,15 @@ impl<'a> FleetAggregator<'a> {
         let mut restores = Vec::new();
         while let Some((restore_hour, core)) = self.restore_q.pop_due(h0) {
             self.registry
-                .restore_traced(core, restore_hour, "repair latency elapsed", rec)
+                .transition(
+                    core,
+                    CoreState::Healthy,
+                    restore_hour,
+                    "repair latency elapsed",
+                    rec,
+                )
                 .expect("exonerated core can restore");
-            self.ledger.restore_core_traced(core, restore_hour, rec);
+            self.ledger.restore_core(core, restore_hour, rec);
             self.out_of_service.remove(&core);
             if self.audit_on {
                 rec.counter_add("audit.restores", 1);
@@ -632,7 +627,13 @@ impl<'a> FleetAggregator<'a> {
                         self.triage_stats.confirmed_true += 1;
                     }
                     self.registry
-                        .confirm_traced(core, verdict_hour, "deep check confession", rec)
+                        .transition(
+                            core,
+                            CoreState::Confirmed,
+                            verdict_hour,
+                            "deep check confession",
+                            rec,
+                        )
                         .expect("quarantined core can confirm");
                     rec.instant(verdict_hour, "detect.triage", Some(core.as_u64()), 0.0);
                     if self.audit_on {
@@ -652,7 +653,13 @@ impl<'a> FleetAggregator<'a> {
                         self.triage_stats.missed_true += 1;
                     }
                     self.registry
-                        .exonerate_traced(core, verdict_hour, "nothing reproduced", rec)
+                        .transition(
+                            core,
+                            CoreState::Exonerated,
+                            verdict_hour,
+                            "nothing reproduced",
+                            rec,
+                        )
                         .expect("quarantined core can exonerate");
                     if self.audit_on {
                         rec.counter_add("audit.exonerations", 1);
@@ -704,18 +711,8 @@ impl<'a> FleetAggregator<'a> {
         }
         screened.sort_by(|a, b| a.hour.total_cmp(&b.hour).then_with(|| a.core.cmp(&b.core)));
         for d in screened {
-            self.registry
-                .mark_suspect_traced(d.core, d.hour, "screener failure", rec)
-                .and_then(|()| {
-                    self.registry
-                        .quarantine_traced(d.core, d.hour, "controlled test failed", rec)
-                })
-                .and_then(|()| {
-                    self.registry
-                        .confirm_traced(d.core, d.hour, "screen reproduced defect", rec)
-                })
-                .expect("in-service core walks the legal path");
-            self.ledger.remove_core_traced(d.core, d.hour, rec);
+            walk(&mut self.registry, d.core, d.hour, SCREENED, rec);
+            self.ledger.remove_core(d.core, d.hour, rec);
             if self.audit_on {
                 rec.counter_add("audit.quarantines", 1);
                 rec.counter_add("audit.confirms", 1);
@@ -736,7 +733,7 @@ impl<'a> FleetAggregator<'a> {
 
         // Per-class epoch deltas: an element-wise integer merge across
         // shards, so every partition sums to the single-shard totals.
-        let mut epoch_classes = vec![ClassTally::default(); self.class_names.len()];
+        let mut epoch_classes = vec![ClassTally::default(); self.telemetry.class_names().len()];
         for r in &reports {
             for (mine, theirs) in epoch_classes.iter_mut().zip(&r.class_deltas) {
                 mine.merge(theirs);
@@ -766,8 +763,7 @@ impl<'a> FleetAggregator<'a> {
                 self.scoreboard
                     .ingest_all_provenance(r.evidence.all().iter(), rec);
             } else {
-                self.scoreboard
-                    .ingest_all_traced(r.evidence.all().iter(), rec);
+                self.scoreboard.ingest_all(r.evidence.all().iter(), rec);
             }
             self.log.append(r.evidence);
         }
@@ -785,14 +781,8 @@ impl<'a> FleetAggregator<'a> {
             .map(|s| (s.core, s.last_hour))
             .collect();
         for (core, hour) in crossings {
-            self.registry
-                .mark_suspect_traced(core, hour, "signal concentration", rec)
-                .and_then(|()| {
-                    self.registry
-                        .quarantine_traced(core, hour, "suspicion threshold", rec)
-                })
-                .expect("in-service core walks the legal path");
-            self.ledger.remove_core_traced(core, hour, rec);
+            walk(&mut self.registry, core, hour, CROSSED, rec);
+            self.ledger.remove_core(core, hour, rec);
             if self.audit_on {
                 rec.counter_add("audit.quarantines", 1);
             }
@@ -844,60 +834,18 @@ impl<'a> FleetAggregator<'a> {
         };
         rec.gauge(h1, "capacity.availability", base);
         rec.gauge(h1, "capacity.with_safetask", with_safetask);
-        rec.gauge(h1, "fleet.active_mercurial", active as f64);
-        // Per-class epoch gauges come before the boundary marker so the
-        // replay path snapshots them into the same epoch row.
-        if self.workloads.enabled {
-            for (names, t) in self.class_gauges.iter().zip(&epoch_classes) {
-                rec.gauge(h1, names.corrupt_ops, t.corrupt_ops as f64);
-                rec.gauge(
-                    h1,
-                    names.caught,
-                    (t.app_caught + t.mitigation_caught) as f64,
-                );
-                rec.gauge(h1, names.user_reports, t.user_reports as f64);
-                rec.gauge(h1, names.overhead_ops, t.overhead_ops() as f64);
-            }
-        }
-        // Last gauge of every epoch boundary: the replay path
-        // (`WatchInput::from_jsonl`) closes the epoch row on it.
-        rec.gauge(h1, "epoch.corrupt_ops", corrupt_ops as f64);
-        self.series.push(base, with_safetask, corrupt_ops, active);
-        if self.workloads.enabled {
-            self.series.push_classes(
-                epoch_classes
-                    .iter()
-                    .map(|t| ClassPoint {
-                        corrupt_ops: t.corrupt_ops,
-                        caught: t.app_caught + t.mitigation_caught,
-                        user_reports: t.user_reports,
-                        overhead_ops: t.overhead_ops(),
-                    })
-                    .collect(),
-            );
-        }
-        if let Some(eng) = self.engine.as_mut() {
-            let _watch_span = prof.span("watch.eval");
-            let row = EpochRow {
+        self.telemetry.record(
+            rec,
+            prof,
+            EpochRow {
                 hour: h1,
                 capacity: base,
                 capacity_with_safetask: with_safetask,
                 corrupt_ops: corrupt_ops as f64,
                 active_mercurial: active as f64,
-            };
-            let fired = if self.workloads.enabled {
-                let classes: Vec<(String, f64)> = self
-                    .class_names
-                    .iter()
-                    .cloned()
-                    .zip(epoch_classes.iter().map(|t| t.corrupt_ops as f64))
-                    .collect();
-                eng.push_epoch_classed(row, &classes)
-            } else {
-                eng.push_epoch(row)
-            };
-            record_alerts(rec, &fired, self.audit_on);
-        }
+            },
+            &epoch_classes,
+        );
         rec.end(h1, "loop.epoch");
         self.epoch += 1;
     }
@@ -922,13 +870,11 @@ impl<'a> FleetAggregator<'a> {
             ledger,
             triage_stats,
             mut log,
-            series,
             mut detections,
             exonerated_innocents,
-            engine,
+            telemetry,
             worker_summaries,
             worker_stats,
-            audit_on,
             ..
         } = self;
 
@@ -951,13 +897,13 @@ impl<'a> FleetAggregator<'a> {
         // withdraw them so no signal is attributed to a core after it
         // was confirmed defective.
         let confirm_hour: HashMap<CoreUid, f64> = registry
-            .in_state(mercurial_isolation::CoreState::Confirmed)
+            .in_state(CoreState::Confirmed)
             .into_iter()
             .map(|core| {
                 let hour = registry
                     .history(core)
                     .iter()
-                    .find(|t| t.to == mercurial_isolation::CoreState::Confirmed)
+                    .find(|t| t.to == CoreState::Confirmed)
                     .expect("confirmed core has a confirm transition")
                     .hour;
                 (core, hour)
@@ -1007,24 +953,145 @@ impl<'a> FleetAggregator<'a> {
             exonerated_innocents,
             detection_latency_hours,
         };
-        let watch = match engine {
-            Some(eng) => {
-                let _watch_span = prof.span("watch.eval");
-                let mut merged = rec.metrics().cloned().unwrap_or_default();
-                for m in worker_metrics {
-                    merged.merge(m);
-                }
-                let (report, end_alerts) = eng.finish(&merged, baseline);
-                record_alerts(rec, &end_alerts, audit_on);
-                Some(report)
-            }
-            None => None,
-        };
+        let (series, watch) = telemetry.finish(rec, worker_metrics, baseline, prof);
         FinishedLoop {
             pipeline,
             series,
             watch,
         }
+    }
+}
+
+/// The epoch-boundary point both loops record — phase 7 of the table
+/// above, shared by [`FleetAggregator`] and the open loop of
+/// [`ClosedLoopDriver`](crate::ClosedLoopDriver): the
+/// `fleet.active_mercurial`, per-class, and `epoch.corrupt_ops` gauges,
+/// the [`EpochSeries`] row, and the live alert rules. The aggregator emits
+/// its two `capacity.*` gauges before [`EpochTelemetry::record`]; the
+/// open loop has none to emit.
+pub(crate) struct EpochTelemetry {
+    series: EpochSeries,
+    /// Whether the scenario's `workloads` block is on: per-class series
+    /// columns are surfaced only then, so legacy runs stay bit-for-bit.
+    classes_on: bool,
+    /// Workload class names in tally/policy order (empty when disabled).
+    class_names: Vec<String>,
+    /// Interned per-class epoch-gauge names, parallel to `class_names`.
+    class_gauges: Vec<ClassMetricNames>,
+    engine: Option<WatchEngine>,
+    /// Whether the scenario's `audit` block is on (see [`record_alerts`]).
+    audit_on: bool,
+}
+
+impl EpochTelemetry {
+    pub(crate) fn new(scenario: &Scenario, sim: &FleetSim, engine: Option<WatchEngine>) -> Self {
+        let classes_on = scenario.workloads.enabled;
+        let class_names = if classes_on {
+            sim.class_names()
+        } else {
+            Vec::new()
+        };
+        let class_gauges = class_names
+            .iter()
+            .map(|n| ClassMetricNames::gauges(n))
+            .collect();
+        let mut series = EpochSeries::new(scenario.sim.epoch_hours);
+        if classes_on {
+            series.set_class_names(class_names.clone());
+        }
+        EpochTelemetry {
+            series,
+            classes_on,
+            class_names,
+            class_gauges,
+            engine,
+            audit_on: scenario.audit.enabled,
+        }
+    }
+
+    /// Workload class names in tally/policy order (empty when the
+    /// scenario's `workloads` block is off).
+    pub(crate) fn class_names(&self) -> &[String] {
+        &self.class_names
+    }
+
+    /// Records the boundary closing the epoch that ends at `row.hour`.
+    /// `classes` holds the epoch's per-class deltas in tally order (empty
+    /// when classes are off). The row's counts are integers far inside
+    /// the range an `f64` holds exactly, so the series gets them back
+    /// unchanged.
+    pub(crate) fn record(
+        &mut self,
+        rec: &mut Recorder,
+        prof: &Prof,
+        row: EpochRow,
+        classes: &[ClassTally],
+    ) {
+        let hour = row.hour;
+        rec.gauge(hour, "fleet.active_mercurial", row.active_mercurial);
+        let points: Vec<ClassPoint> = classes
+            .iter()
+            .map(|t| ClassPoint {
+                corrupt_ops: t.corrupt_ops,
+                caught: t.app_caught + t.mitigation_caught,
+                user_reports: t.user_reports,
+                overhead_ops: t.overhead_ops(),
+            })
+            .collect();
+        // Per-class epoch gauges come before the boundary marker so the
+        // replay path snapshots them into the same epoch row.
+        for (names, p) in self.class_gauges.iter().zip(&points) {
+            rec.gauge(hour, names.corrupt_ops, p.corrupt_ops as f64);
+            rec.gauge(hour, names.caught, p.caught as f64);
+            rec.gauge(hour, names.user_reports, p.user_reports as f64);
+            rec.gauge(hour, names.overhead_ops, p.overhead_ops as f64);
+        }
+        // Last gauge of every epoch boundary: the replay path
+        // (`WatchInput::from_jsonl`) closes the epoch row on it.
+        rec.gauge(hour, "epoch.corrupt_ops", row.corrupt_ops);
+        self.series.push(
+            row.capacity,
+            row.capacity_with_safetask,
+            row.corrupt_ops as u64,
+            row.active_mercurial as u64,
+        );
+        if let Some(eng) = self.engine.as_mut() {
+            let _watch_span = prof.span("watch.eval");
+            let class_ops: Vec<(String, f64)> = self
+                .class_names
+                .iter()
+                .cloned()
+                .zip(points.iter().map(|p| p.corrupt_ops as f64))
+                .collect();
+            let fired = eng.push_epoch_classed(row, &class_ops);
+            record_alerts(rec, &fired, self.audit_on);
+        }
+        if self.classes_on {
+            self.series.push_classes(points);
+        }
+    }
+
+    /// Closes the run: evaluates the end-of-run watch rules over the
+    /// recorder's metrics merged with `worker_metrics` (worker order) and
+    /// hands back the series and the alert readout.
+    pub(crate) fn finish(
+        self,
+        rec: &mut Recorder,
+        worker_metrics: &[MetricSet],
+        baseline: Option<&Baseline>,
+        prof: &Prof,
+    ) -> (EpochSeries, Option<WatchReport>) {
+        let watch = self.engine.map(|eng| {
+            let _watch_span = prof.span("watch.eval");
+            let mut merged = rec.metrics().cloned().unwrap_or_default();
+            for m in worker_metrics {
+                merged.merge(m);
+            }
+            let (report, end_alerts) = eng.finish(&merged, baseline);
+            record_alerts(rec, &end_alerts, self.audit_on);
+            report
+        });
+        (self.series, watch)
     }
 }
 

@@ -7,19 +7,10 @@
 //! engines, trace and watch surfaces.
 
 use mercurial::closedloop::{ClosedLoopDriver, RunOptions};
+use mercurial::corpus::hash::fnv1a64;
 use mercurial::fleet::SimEngine;
 use mercurial::{FleetExperiment, Scenario};
 use mercurial_prof::Prof;
-
-/// FNV-1a over a byte string: stable, dependency-free content digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn scenario(seed: u64, feedback: bool, engine: SimEngine) -> Scenario {
     let mut s = Scenario::demo(seed);
@@ -58,9 +49,9 @@ fn digest_profiled(
         corruptions: out.pipeline.sim_summary.corruptions,
         signals: out.pipeline.signals.all().len(),
         detections: out.pipeline.detections.len(),
-        series_csv: fnv1a(out.series.to_csv().as_bytes()),
-        trace_jsonl: fnv1a(out.trace.to_jsonl().as_bytes()),
-        watch_render: fnv1a(
+        series_csv: fnv1a64(out.series.to_csv().as_bytes()),
+        trace_jsonl: fnv1a64(out.trace.to_jsonl().as_bytes()),
+        watch_render: fnv1a64(
             out.watch
                 .as_ref()
                 .expect("watch enabled")

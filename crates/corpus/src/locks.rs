@@ -277,9 +277,33 @@ mod tests {
 
     #[test]
     fn faulty_cas_loses_updates_or_violates_exclusion() {
-        // The §2 lock-semantics CEE, natively: a lying CAS lets two threads
-        // into the critical section and the racy counter drops increments.
-        let report = torture(Arc::new(FaultySpinLock::new(50)), THREADS, ITERS);
+        // The §2 lock-semantics CEE, natively and without relying on thread
+        // scheduling. Holder A takes the lock with a real CAS. While A
+        // still holds it, holder B's acquire is refused `LIE - 2` times and
+        // then returns on the lying attempt, so both sit in the critical
+        // section and the increments they interleave there lose one update.
+        const LIE: u64 = 50;
+        let lock = FaultySpinLock::new(LIE);
+        let counter = RacyCounter::default();
+
+        lock.acquire(); // A: attempt 0 takes the lock for real.
+        let a_read = counter.load();
+
+        lock.acquire(); // B: attempts 1..LIE-1 refused, attempt LIE-1 lies.
+        assert_eq!(lock.attempts.load(Ordering::Relaxed), LIE);
+        let b_entered_while_held = lock.locked.load(Ordering::Relaxed);
+        counter.racy_increment(); // B's increment lands...
+        lock.release();
+
+        counter.value.store(a_read + 1, Ordering::Relaxed); // ...A's stale write clobbers it.
+        lock.release();
+
+        let report = TortureReport {
+            expected: 2,
+            observed: counter.load(),
+            exclusion_violations: u64::from(b_entered_while_held),
+        };
+        assert_eq!((report.observed, report.exclusion_violations), (1, 1));
         assert!(
             !report.passed(),
             "a lock that lies every 50th acquire must corrupt: {report:?}"

@@ -539,20 +539,10 @@ impl FleetSim {
         }
     }
 
-    /// Advances the simulation by one epoch, appending that epoch's
-    /// signals to `log` (in emission order, unsorted) and accumulating
-    /// counters into `summary`. Returns `false` once the window is done.
-    pub fn step_epoch(
-        &self,
-        state: &mut SimState,
-        log: &mut SignalLog,
-        summary: &mut SimSummary,
-    ) -> bool {
-        self.step_epochs(state, 1, log, summary) == 1
-    }
-
-    /// Advances the simulation by up to `max_epochs` epochs and returns
-    /// how many actually ran.
+    /// Advances the simulation by up to `max_epochs` epochs, appending
+    /// their signals to `log` (in emission order, unsorted) and
+    /// accumulating counters into `summary`; returns how many actually
+    /// ran (0 once the window is done).
     ///
     /// With `config.parallelism != 1` the batch is sharded across worker
     /// threads under the §4.1 determinism contract: every random draw is
@@ -562,28 +552,6 @@ impl FleetSim {
     /// the concatenated log equals the serial emission order exactly.
     /// `summary.active_mercurial_cores` is refreshed after every step to
     /// the cumulative count so far.
-    pub fn step_epochs(
-        &self,
-        state: &mut SimState,
-        max_epochs: u32,
-        log: &mut SignalLog,
-        summary: &mut SimSummary,
-    ) -> u32 {
-        self.step_epochs_traced(state, max_epochs, log, summary, &mut Recorder::disabled())
-    }
-
-    /// [`FleetSim::step_epoch`] with telemetry recording.
-    pub fn step_epoch_traced(
-        &self,
-        state: &mut SimState,
-        log: &mut SignalLog,
-        summary: &mut SimSummary,
-        rec: &mut Recorder,
-    ) -> bool {
-        self.step_epochs_traced(state, 1, log, summary, rec) == 1
-    }
-
-    /// [`FleetSim::step_epochs`] with telemetry recording.
     ///
     /// Each epoch records into its own shard [`Recorder`] — a `sim.epoch`
     /// span, per-epoch counters/histograms, and a `sim.first_corruption`
@@ -591,7 +559,7 @@ impl FleetSim {
     /// are absorbed in epoch order, so the trace is identical for any
     /// `parallelism` and any stepping granularity. With a disabled
     /// recorder the serial path is the exact untraced loop.
-    pub fn step_epochs_traced(
+    pub fn step_epochs(
         &self,
         state: &mut SimState,
         max_epochs: u32,
@@ -788,7 +756,13 @@ impl FleetSim {
         let mut state = self.begin();
         let mut log = SignalLog::new();
         let mut summary = SimSummary::default();
-        self.step_epochs(&mut state, u32::MAX, &mut log, &mut summary);
+        self.step_epochs(
+            &mut state,
+            u32::MAX,
+            &mut log,
+            &mut summary,
+            &mut Recorder::disabled(),
+        );
         log.sort_by_time();
         (log, summary)
     }
@@ -1559,7 +1533,7 @@ mod tests {
             let mut summary = SimSummary::default();
             let mut rec = Recorder::with_flags(mercurial_trace::TraceFlags::enabled());
             while !state.is_done() {
-                sim.step_epochs_traced(&mut state, granularity, &mut log, &mut summary, &mut rec);
+                sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec);
             }
             (rec.finish().to_jsonl(), log, summary)
         };
@@ -1582,6 +1556,7 @@ mod tests {
 
     #[test]
     fn stepping_matches_run_for_any_granularity() {
+        let off = &mut Recorder::disabled();
         let uid = CoreUid::new(3, 0, 1);
         let sim = tiny_sim(50, vec![(uid, library::string_bitflip(9, 1e-4))], 6);
         let (full_log, full_summary) = sim.run();
@@ -1590,7 +1565,7 @@ mod tests {
             let mut state = sim.begin();
             let mut log = SignalLog::new();
             let mut summary = SimSummary::default();
-            while sim.step_epochs(&mut state, granularity, &mut log, &mut summary) > 0 {}
+            while sim.step_epochs(&mut state, granularity, &mut log, &mut summary, off) > 0 {}
             assert!(state.is_done());
             log.sort_by_time();
             assert_eq!(summary, full_summary, "granularity {granularity}");
@@ -1600,6 +1575,7 @@ mod tests {
 
     #[test]
     fn masked_core_is_silent_while_out_of_service() {
+        let off = &mut Recorder::disabled();
         let uid = CoreUid::new(3, 0, 1);
         let sim = tiny_sim(50, vec![(uid, library::string_bitflip(9, 1e-4))], 6);
         let mut state = sim.begin();
@@ -1607,15 +1583,18 @@ mod tests {
         let mut summary = SimSummary::default();
         // Run the first half in service, then pull the core.
         let half = state.total_epochs() / 2;
-        sim.step_epochs(&mut state, half, &mut log, &mut summary);
+        sim.step_epochs(&mut state, half, &mut log, &mut summary, off);
         let corruptions_before = summary.corruptions;
         assert!(corruptions_before > 0, "defect must fire in the first half");
-        assert!(sim.step_epoch(&mut state, &mut log, &mut summary));
+        assert_eq!(
+            sim.step_epochs(&mut state, 1, &mut log, &mut summary, off),
+            1
+        );
         let masked_hour = state.hour();
         assert!(state.set_active(uid, false), "core is mercurial");
         assert!(!state.is_active(uid));
         let corruptions_at_mask = summary.corruptions;
-        sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary);
+        sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary, off);
         assert_eq!(
             summary.corruptions, corruptions_at_mask,
             "a masked core draws no corruption"
@@ -1783,6 +1762,7 @@ mod tests {
 
     #[test]
     fn sparse_engine_matches_dense_bit_for_bit() {
+        let off = &mut Recorder::disabled();
         for seed in [21u64, 97, 4242] {
             let (dense_log, dense_summary) = parity_fleet(seed, SimEngine::Dense, 1, 9).run();
             assert!(
@@ -1795,7 +1775,9 @@ mod tests {
                     let mut state = sim.begin();
                     let mut log = SignalLog::new();
                     let mut summary = SimSummary::default();
-                    while sim.step_epochs(&mut state, granularity, &mut log, &mut summary) > 0 {}
+                    while sim.step_epochs(&mut state, granularity, &mut log, &mut summary, off) > 0
+                    {
+                    }
                     log.sort_by_time();
                     assert_eq!(
                         summary, dense_summary,
@@ -1820,7 +1802,7 @@ mod tests {
             let mut summary = SimSummary::default();
             let mut rec = Recorder::with_flags(mercurial_trace::TraceFlags::enabled());
             while !state.is_done() {
-                sim.step_epochs_traced(&mut state, granularity, &mut log, &mut summary, &mut rec);
+                sim.step_epochs(&mut state, granularity, &mut log, &mut summary, &mut rec);
             }
             (rec.finish().to_jsonl(), log, summary)
         };
@@ -1836,6 +1818,7 @@ mod tests {
 
     #[test]
     fn dormant_cores_cost_zero_per_epoch_work() {
+        let off = &mut Recorder::disabled();
         // Every defect's onset lies beyond the observation window: the
         // sparse engine must do exactly one deploy wake per core and no
         // per-epoch work at all, with both onset wakes still pending.
@@ -1858,7 +1841,7 @@ mod tests {
         let mut state = sim.begin();
         let mut log = SignalLog::new();
         let mut summary = SimSummary::default();
-        while sim.step_epochs(&mut state, 7, &mut log, &mut summary) > 0 {}
+        while sim.step_epochs(&mut state, 7, &mut log, &mut summary, off) > 0 {}
         assert_eq!(summary.corruptions, 0);
         let stats = state.clock_stats();
         assert_eq!(stats.events_processed, 2, "one deploy wake per core");
@@ -1877,7 +1860,8 @@ mod tests {
             let mut state = sim.begin();
             let mut log = SignalLog::new();
             let mut summary = SimSummary::default();
-            while sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary) > 0 {}
+            let off = &mut Recorder::disabled();
+            while sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary, off) > 0 {}
             (state.clock_stats(), state.total_epochs())
         };
         let (sparse, epochs) = run(SimEngine::Sparse);
@@ -1970,6 +1954,7 @@ mod tests {
 
     #[test]
     fn machine_shards_union_to_the_full_fleet_bit_for_bit() {
+        let off = &mut Recorder::disabled();
         // The serve contract: partition the machine range into contiguous
         // shards, run each shard's SimState over the whole window, merge.
         // Logs must union to the full run exactly (as a multiset — epoch-
@@ -2001,7 +1986,7 @@ mod tests {
                     assert_eq!(state.shard_range(), Some((lo, hi)));
                     let mut log = SignalLog::new();
                     let mut summary = SimSummary::default();
-                    while sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary) > 0 {}
+                    while sim.step_epochs(&mut state, u32::MAX, &mut log, &mut summary, off) > 0 {}
                     merged.append(log);
                     summed.merge(&summary);
                 }

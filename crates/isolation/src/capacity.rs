@@ -67,15 +67,17 @@ impl CapacityLedger {
         self.nominal_total += cores;
     }
 
-    /// Records a core as removed from service.
+    /// Records a core as removed from service at `hour`.
     ///
-    /// Idempotent: removing the same core twice counts once.
+    /// Idempotent: removing the same core twice counts once. The first
+    /// removal emits a `capacity.core_removed` instant and bumps the
+    /// `capacity.cores_removed` counter; repeats are not re-announced.
     ///
     /// # Panics
     ///
     /// Panics if the machine was never registered or the loss would
     /// exceed its nominal count.
-    pub fn remove_core(&mut self, core: CoreUid) {
+    pub fn remove_core(&mut self, core: CoreUid, hour: f64, rec: &mut Recorder) {
         let nominal = *self
             .nominal
             .get(&core.machine)
@@ -86,6 +88,8 @@ impl CapacityLedger {
             if set.len() == 1 {
                 self.heterogeneous += 1;
             }
+            rec.instant(hour, "capacity.core_removed", Some(core.as_u64()), 0.0);
+            rec.counter_add("capacity.cores_removed", 1);
         }
         assert!(
             set.len() as u64 <= nominal,
@@ -94,45 +98,19 @@ impl CapacityLedger {
         );
     }
 
-    /// [`CapacityLedger::remove_core`] with telemetry: a
-    /// `capacity.core_removed` instant plus counter (first removal only —
-    /// idempotent repeats are not re-announced).
-    pub fn remove_core_traced(&mut self, core: CoreUid, hour: f64, rec: &mut Recorder) {
-        let already = self
-            .lost
-            .get(&core.machine)
-            .is_some_and(|s| s.contains(&core));
-        self.remove_core(core);
-        if !already {
-            rec.instant(hour, "capacity.core_removed", Some(core.as_u64()), 0.0);
-            rec.counter_add("capacity.cores_removed", 1);
-        }
-    }
-
-    /// Returns a core to service.
-    pub fn restore_core(&mut self, core: CoreUid) {
+    /// Returns a core to service at `hour`. Only a core that was actually
+    /// out of service emits a `capacity.core_restored` instant and bumps
+    /// the `capacity.cores_restored` counter.
+    pub fn restore_core(&mut self, core: CoreUid, hour: f64, rec: &mut Recorder) {
         if let Some(set) = self.lost.get_mut(&core.machine) {
             if set.remove(&core) {
                 self.lost_total -= 1;
                 if set.is_empty() {
                     self.heterogeneous -= 1;
                 }
+                rec.instant(hour, "capacity.core_restored", Some(core.as_u64()), 0.0);
+                rec.counter_add("capacity.cores_restored", 1);
             }
-        }
-    }
-
-    /// [`CapacityLedger::restore_core`] with telemetry: a
-    /// `capacity.core_restored` instant plus counter (only when the core
-    /// was actually out of service).
-    pub fn restore_core_traced(&mut self, core: CoreUid, hour: f64, rec: &mut Recorder) {
-        let was_lost = self
-            .lost
-            .get(&core.machine)
-            .is_some_and(|s| s.contains(&core));
-        self.restore_core(core);
-        if was_lost {
-            rec.instant(hour, "capacity.core_restored", Some(core.as_u64()), 0.0);
-            rec.counter_add("capacity.cores_restored", 1);
         }
     }
 
@@ -157,6 +135,7 @@ impl CapacityLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mercurial_trace::TraceFlags;
 
     #[test]
     fn pool_aggregates() {
@@ -164,9 +143,10 @@ mod tests {
         for m in 0..10 {
             ledger.register_machine(m, 64);
         }
-        ledger.remove_core(CoreUid::new(3, 0, 5));
-        ledger.remove_core(CoreUid::new(3, 1, 9));
-        ledger.remove_core(CoreUid::new(7, 0, 0));
+        let off = &mut Recorder::disabled();
+        ledger.remove_core(CoreUid::new(3, 0, 5), 1.0, off);
+        ledger.remove_core(CoreUid::new(3, 1, 9), 1.0, off);
+        ledger.remove_core(CoreUid::new(7, 0, 0), 1.0, off);
         let pool = ledger.pool();
         assert_eq!(pool.nominal_cores, 640);
         assert_eq!(pool.lost_cores, 3);
@@ -175,23 +155,40 @@ mod tests {
         assert!((pool.availability() - 637.0 / 640.0).abs() < 1e-12);
     }
 
+    /// Idempotent removal is announced once, a restore once, and a
+    /// restore of a core that was never removed not at all.
     #[test]
     fn removal_is_idempotent_and_restorable() {
         let mut ledger = CapacityLedger::new();
         ledger.register_machine(1, 8);
         let core = CoreUid::new(1, 0, 2);
-        ledger.remove_core(core);
-        ledger.remove_core(core);
+        let mut rec = Recorder::with_flags(TraceFlags::enabled());
+        ledger.restore_core(CoreUid::new(1, 0, 3), 0.5, &mut rec);
+        assert!(rec.take_events().is_empty(), "never-removed core restored");
+        ledger.remove_core(core, 1.0, &mut rec);
+        ledger.remove_core(core, 2.0, &mut rec);
         assert_eq!(ledger.effective_of(1), 7);
-        ledger.restore_core(core);
+        let removed = rec.take_events();
+        assert_eq!(removed.len(), 1, "a double removal is announced once");
+        assert_eq!(removed[0].name, "capacity.core_removed");
+        assert_eq!(removed[0].hour, 1.0);
+        ledger.restore_core(core, 3.0, &mut rec);
+        ledger.restore_core(core, 4.0, &mut rec);
         assert_eq!(ledger.effective_of(1), 8);
         assert_eq!(ledger.pool().heterogeneous_machines, 0);
+        let restored = rec.take_events();
+        assert_eq!(restored.len(), 1, "one restore is announced");
+        assert_eq!(restored[0].name, "capacity.core_restored");
+        assert_eq!(restored[0].hour, 3.0);
+        let m = rec.metrics().expect("enabled recorder");
+        assert_eq!(m.counter("capacity.cores_removed"), 1);
+        assert_eq!(m.counter("capacity.cores_restored"), 1);
     }
 
     #[test]
     #[should_panic(expected = "not registered")]
     fn unregistered_machine_panics() {
-        CapacityLedger::new().remove_core(CoreUid::new(9, 0, 0));
+        CapacityLedger::new().remove_core(CoreUid::new(9, 0, 0), 0.0, &mut Recorder::disabled());
     }
 
     #[test]

@@ -125,7 +125,14 @@ impl QuarantineRegistry {
         }
     }
 
-    fn transition(
+    /// Moves `core` to state `to` at `hour`, appending `reason` to its
+    /// audit trail. Only the edges of the transition graph above are
+    /// legal; anything else is rejected and leaves the registry untouched.
+    /// An accepted transition emits one `core.*` instant named after the
+    /// target state (`core.suspect`, `core.quarantine`, `core.confirm`,
+    /// `core.exonerate`, `core.restore`, `core.retire`) and bumps the
+    /// `core.transitions` counter.
+    pub fn transition(
         &mut self,
         core: CoreUid,
         to: CoreState,
@@ -151,168 +158,6 @@ impl QuarantineRegistry {
         rec.instant(hour, Self::event_name(to), Some(core.as_u64()), 0.0);
         rec.counter_add("core.transitions", 1);
         Ok(())
-    }
-
-    /// Healthy → Suspect.
-    pub fn mark_suspect(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Suspect,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::mark_suspect`] with a `core.suspect` instant.
-    pub fn mark_suspect_traced(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-        rec: &mut Recorder,
-    ) -> Result<(), QuarantineError> {
-        self.transition(core, CoreState::Suspect, hour, reason, rec)
-    }
-
-    /// Suspect → Quarantined (removes the core from the pool).
-    pub fn quarantine(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Quarantined,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::quarantine`] with a `core.quarantine` instant.
-    pub fn quarantine_traced(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-        rec: &mut Recorder,
-    ) -> Result<(), QuarantineError> {
-        self.transition(core, CoreState::Quarantined, hour, reason, rec)
-    }
-
-    /// Quarantined → Confirmed (deep checking reproduced the defect).
-    pub fn confirm(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Confirmed,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::confirm`] with a `core.confirm` instant.
-    pub fn confirm_traced(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-        rec: &mut Recorder,
-    ) -> Result<(), QuarantineError> {
-        self.transition(core, CoreState::Confirmed, hour, reason, rec)
-    }
-
-    /// Suspect/Quarantined → Exonerated (nothing reproduced).
-    pub fn exonerate(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Exonerated,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::exonerate`] with a `core.exonerate` instant.
-    pub fn exonerate_traced(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-        rec: &mut Recorder,
-    ) -> Result<(), QuarantineError> {
-        self.transition(core, CoreState::Exonerated, hour, reason, rec)
-    }
-
-    /// Exonerated → Healthy (returned to the pool).
-    pub fn restore(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Healthy,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::restore`] with a `core.restore` instant.
-    pub fn restore_traced(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-        rec: &mut Recorder,
-    ) -> Result<(), QuarantineError> {
-        self.transition(core, CoreState::Healthy, hour, reason, rec)
-    }
-
-    /// Confirmed → Retired (permanent removal).
-    pub fn retire(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-    ) -> Result<(), QuarantineError> {
-        self.transition(
-            core,
-            CoreState::Retired,
-            hour,
-            reason,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`QuarantineRegistry::retire`] with a `core.retire` instant.
-    pub fn retire_traced(
-        &mut self,
-        core: CoreUid,
-        hour: f64,
-        reason: impl Into<String>,
-        rec: &mut Recorder,
-    ) -> Result<(), QuarantineError> {
-        self.transition(core, CoreState::Retired, hour, reason, rec)
     }
 
     /// The audit trail of a core.
@@ -344,9 +189,21 @@ impl QuarantineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use CoreState::*;
 
     fn core(i: u32) -> CoreUid {
         CoreUid::new(i, 0, 0)
+    }
+
+    /// An untraced transition.
+    fn go(
+        reg: &mut QuarantineRegistry,
+        c: CoreUid,
+        to: CoreState,
+        hour: f64,
+        reason: &str,
+    ) -> Result<(), QuarantineError> {
+        reg.transition(c, to, hour, reason, &mut Recorder::disabled())
     }
 
     #[test]
@@ -355,16 +212,22 @@ mod tests {
         let c = core(1);
         assert_eq!(reg.state(c), CoreState::Healthy);
         assert!(reg.is_schedulable(c));
-        reg.mark_suspect(c, 1.0, "concentrated reports").unwrap();
+        go(&mut reg, c, Suspect, 1.0, "concentrated reports").unwrap();
         assert!(
             reg.is_schedulable(c),
             "suspects keep running until quarantined"
         );
-        reg.quarantine(c, 2.0, "report service verdict").unwrap();
+        go(&mut reg, c, Quarantined, 2.0, "report service verdict").unwrap();
         assert!(!reg.is_schedulable(c));
-        reg.confirm(c, 3.0, "deep screen failed on vector-lanes")
-            .unwrap();
-        reg.retire(c, 4.0, "RMA").unwrap();
+        go(
+            &mut reg,
+            c,
+            Confirmed,
+            3.0,
+            "deep screen failed on vector-lanes",
+        )
+        .unwrap();
+        go(&mut reg, c, Retired, 4.0, "RMA").unwrap();
         assert_eq!(reg.state(c), CoreState::Retired);
         assert_eq!(reg.history(c).len(), 4);
         assert_eq!(reg.history(c)[0].reason, "concentrated reports");
@@ -374,14 +237,14 @@ mod tests {
     fn exoneration_path_restores() {
         let mut reg = QuarantineRegistry::new();
         let c = core(2);
-        reg.mark_suspect(c, 1.0, "crash").unwrap();
-        reg.quarantine(c, 2.0, "recidivism").unwrap();
-        reg.exonerate(c, 3.0, "nothing reproduced").unwrap();
+        go(&mut reg, c, Suspect, 1.0, "crash").unwrap();
+        go(&mut reg, c, Quarantined, 2.0, "recidivism").unwrap();
+        go(&mut reg, c, Exonerated, 3.0, "nothing reproduced").unwrap();
         assert!(
             !reg.is_schedulable(c),
             "exonerated cores need an explicit restore"
         );
-        reg.restore(c, 4.0, "returned to pool").unwrap();
+        go(&mut reg, c, Healthy, 4.0, "returned to pool").unwrap();
         assert_eq!(reg.state(c), CoreState::Healthy);
         assert!(reg.is_schedulable(c));
     }
@@ -390,9 +253,9 @@ mod tests {
     fn suspect_can_be_exonerated_without_quarantine() {
         let mut reg = QuarantineRegistry::new();
         let c = core(3);
-        reg.mark_suspect(c, 1.0, "one crash").unwrap();
-        reg.exonerate(c, 2.0, "evidence aged out").unwrap();
-        reg.restore(c, 3.0, "ok").unwrap();
+        go(&mut reg, c, Suspect, 1.0, "one crash").unwrap();
+        go(&mut reg, c, Exonerated, 2.0, "evidence aged out").unwrap();
+        go(&mut reg, c, Healthy, 3.0, "ok").unwrap();
         assert_eq!(reg.state(c), CoreState::Healthy);
     }
 
@@ -401,40 +264,40 @@ mod tests {
         let mut reg = QuarantineRegistry::new();
         let c = core(4);
         // Cannot quarantine a healthy core without suspicion first.
-        let err = reg.quarantine(c, 1.0, "hasty").unwrap_err();
+        let err = go(&mut reg, c, Quarantined, 1.0, "hasty").unwrap_err();
         assert_eq!(err.current, CoreState::Healthy);
         assert_eq!(err.attempted, CoreState::Quarantined);
         // Cannot confirm without quarantine.
-        reg.mark_suspect(c, 1.0, "x").unwrap();
-        assert!(reg.confirm(c, 2.0, "y").is_err());
+        go(&mut reg, c, Suspect, 1.0, "x").unwrap();
+        assert!(go(&mut reg, c, Confirmed, 2.0, "y").is_err());
         // Cannot retire an unconfirmed core.
-        assert!(reg.retire(c, 3.0, "z").is_err());
+        assert!(go(&mut reg, c, Retired, 3.0, "z").is_err());
         // Cannot re-suspect a suspect.
-        assert!(reg.mark_suspect(c, 4.0, "again").is_err());
+        assert!(go(&mut reg, c, Suspect, 4.0, "again").is_err());
     }
 
     #[test]
     fn retired_is_terminal() {
         let mut reg = QuarantineRegistry::new();
         let c = core(5);
-        reg.mark_suspect(c, 1.0, "").unwrap();
-        reg.quarantine(c, 2.0, "").unwrap();
-        reg.confirm(c, 3.0, "").unwrap();
-        reg.retire(c, 4.0, "").unwrap();
-        assert!(reg.exonerate(c, 5.0, "").is_err());
-        assert!(reg.restore(c, 5.0, "").is_err());
-        assert!(reg.mark_suspect(c, 5.0, "").is_err());
+        go(&mut reg, c, Suspect, 1.0, "").unwrap();
+        go(&mut reg, c, Quarantined, 2.0, "").unwrap();
+        go(&mut reg, c, Confirmed, 3.0, "").unwrap();
+        go(&mut reg, c, Retired, 4.0, "").unwrap();
+        assert!(go(&mut reg, c, Exonerated, 5.0, "").is_err());
+        assert!(go(&mut reg, c, Healthy, 5.0, "").is_err());
+        assert!(go(&mut reg, c, Suspect, 5.0, "").is_err());
     }
 
     #[test]
     fn queries_and_counts() {
         let mut reg = QuarantineRegistry::new();
         for i in 0..4 {
-            reg.mark_suspect(core(i), 1.0, "").unwrap();
+            go(&mut reg, core(i), Suspect, 1.0, "").unwrap();
         }
-        reg.quarantine(core(0), 2.0, "").unwrap();
-        reg.quarantine(core(1), 2.0, "").unwrap();
-        reg.confirm(core(1), 3.0, "").unwrap();
+        go(&mut reg, core(0), Quarantined, 2.0, "").unwrap();
+        go(&mut reg, core(1), Quarantined, 2.0, "").unwrap();
+        go(&mut reg, core(1), Confirmed, 3.0, "").unwrap();
         assert_eq!(reg.in_state(CoreState::Quarantined), vec![core(0)]);
         assert_eq!(reg.in_state(CoreState::Confirmed), vec![core(1)]);
         assert_eq!(reg.in_state(CoreState::Suspect), vec![core(2), core(3)]);

@@ -3,6 +3,7 @@
 use mercurial_fault::CoreUid;
 use mercurial_isolation::csr::Task;
 use mercurial_isolation::{CoreState, CsrSimulator, QuarantineRegistry};
+use mercurial_trace::{EventKind, Recorder, TraceFlags};
 use proptest::prelude::*;
 
 /// The operations a fuzzer can throw at the registry.
@@ -33,25 +34,39 @@ proptest! {
     /// Under arbitrary operation sequences the registry never reaches an
     /// inconsistent state: history length equals accepted transitions,
     /// retired cores never leave Retired, and schedulability matches the
-    /// state exactly.
+    /// state exactly. Telemetry follows the accepted transitions: each
+    /// one emits exactly one `core.*` instant, named after the target
+    /// state, for the core at its hour; a rejected one emits nothing; and
+    /// the `core.transitions` counter equals the accepted count.
     #[test]
     fn quarantine_state_machine_is_sound(ops in proptest::collection::vec(arb_op(), 0..64)) {
         let core = CoreUid::new(1, 0, 0);
         let mut reg = QuarantineRegistry::new();
+        let mut rec = Recorder::with_flags(TraceFlags::enabled());
         let mut accepted = 0usize;
         let mut was_retired = false;
         for (i, op) in ops.iter().enumerate() {
             let hour = i as f64;
-            let result = match op {
-                Op::Suspect => reg.mark_suspect(core, hour, "fuzz"),
-                Op::Quarantine => reg.quarantine(core, hour, "fuzz"),
-                Op::Confirm => reg.confirm(core, hour, "fuzz"),
-                Op::Exonerate => reg.exonerate(core, hour, "fuzz"),
-                Op::Restore => reg.restore(core, hour, "fuzz"),
-                Op::Retire => reg.retire(core, hour, "fuzz"),
+            let (to, event) = match op {
+                Op::Suspect => (CoreState::Suspect, "core.suspect"),
+                Op::Quarantine => (CoreState::Quarantined, "core.quarantine"),
+                Op::Confirm => (CoreState::Confirmed, "core.confirm"),
+                Op::Exonerate => (CoreState::Exonerated, "core.exonerate"),
+                Op::Restore => (CoreState::Healthy, "core.restore"),
+                Op::Retire => (CoreState::Retired, "core.retire"),
             };
+            let result = reg.transition(core, to, hour, "fuzz", &mut rec);
+            let events = rec.take_events();
             if result.is_ok() {
                 accepted += 1;
+                prop_assert_eq!(events.len(), 1, "an accepted transition emits one instant");
+                let e = &events[0];
+                prop_assert_eq!(e.kind, EventKind::Instant);
+                prop_assert_eq!(e.name, event);
+                prop_assert_eq!(e.core, Some(core.as_u64()));
+                prop_assert_eq!(e.hour, hour);
+            } else {
+                prop_assert!(events.is_empty(), "a rejected transition emits nothing");
             }
             if was_retired {
                 prop_assert!(result.is_err(), "nothing is legal after Retired");
@@ -66,6 +81,10 @@ proptest! {
             );
         }
         prop_assert_eq!(reg.history(core).len(), accepted);
+        prop_assert_eq!(
+            rec.metrics().expect("enabled recorder").counter("core.transitions"),
+            accepted as u64
+        );
         // The audit trail is contiguous: each transition starts where the
         // previous ended.
         for w in reg.history(core).windows(2) {

@@ -604,27 +604,10 @@ impl BurnInCampaign {
     /// Screens every machine whose deploy hour lies before `until_hour`
     /// (exclusive) and has not been screened yet, skipping cores in
     /// `detected`; returns the new detections.
+    ///
+    /// Telemetry: a `screen.burnin` span over the due batch plus
+    /// per-detection `detect.burnin` instants.
     pub fn step_until(
-        &mut self,
-        topo: &FleetTopology,
-        pop: &Population,
-        until_hour: f64,
-        detected: &mut FastSet<CoreUid>,
-        log: &mut SignalLog,
-    ) -> Vec<DetectionRecord> {
-        self.step_until_traced(
-            topo,
-            pop,
-            until_hour,
-            detected,
-            log,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`BurnInCampaign::step_until`] with telemetry: a `screen.burnin`
-    /// span over the due batch plus per-detection `detect.burnin` instants.
-    pub fn step_until_traced(
         &mut self,
         topo: &FleetTopology,
         pop: &Population,
@@ -798,7 +781,14 @@ impl OfflineScreener {
         log: &mut SignalLog,
     ) -> (Vec<DetectionRecord>, ScreeningStats) {
         let mut campaign = self.campaign(months);
-        let records = campaign.step_until(topo, pop, f64::INFINITY, detected, log);
+        let records = campaign.step_until(
+            topo,
+            pop,
+            f64::INFINITY,
+            detected,
+            log,
+            &mut Recorder::disabled(),
+        );
         (records, campaign.stats())
     }
 
@@ -838,28 +828,10 @@ impl OfflineCampaign {
     /// Runs every sweep scheduled before `until_hour` (exclusive, and
     /// never past the campaign window), skipping cores in `detected`;
     /// returns the new detections.
+    ///
+    /// Telemetry: a `screen.offline` span per sweep (spanning its drain
+    /// window) plus per-detection `detect.offline` instants.
     pub fn step_until(
-        &mut self,
-        topo: &FleetTopology,
-        pop: &Population,
-        until_hour: f64,
-        detected: &mut FastSet<CoreUid>,
-        log: &mut SignalLog,
-    ) -> Vec<DetectionRecord> {
-        self.step_until_traced(
-            topo,
-            pop,
-            until_hour,
-            detected,
-            log,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`OfflineCampaign::step_until`] with telemetry: a `screen.offline`
-    /// span per sweep (spanning its drain window) plus per-detection
-    /// `detect.offline` instants.
-    pub fn step_until_traced(
         &mut self,
         topo: &FleetTopology,
         pop: &Population,
@@ -1021,7 +993,14 @@ impl OnlineScreener {
         log: &mut SignalLog,
     ) -> (Vec<DetectionRecord>, ScreeningStats) {
         let mut campaign = self.campaign(months);
-        let records = campaign.step_until(topo, pop, f64::INFINITY, detected, log);
+        let records = campaign.step_until(
+            topo,
+            pop,
+            f64::INFINITY,
+            detected,
+            log,
+            &mut Recorder::disabled(),
+        );
         (records, campaign.stats())
     }
 
@@ -1061,27 +1040,10 @@ impl OnlineCampaign {
     /// Runs every pass scheduled before `until_hour` (exclusive, and
     /// never past the campaign window), skipping cores in `detected`;
     /// returns the new detections.
+    ///
+    /// Telemetry: a `screen.online` span per pass plus per-detection
+    /// `detect.online` instants.
     pub fn step_until(
-        &mut self,
-        topo: &FleetTopology,
-        pop: &Population,
-        until_hour: f64,
-        detected: &mut FastSet<CoreUid>,
-        log: &mut SignalLog,
-    ) -> Vec<DetectionRecord> {
-        self.step_until_traced(
-            topo,
-            pop,
-            until_hour,
-            detected,
-            log,
-            &mut Recorder::disabled(),
-        )
-    }
-
-    /// [`OnlineCampaign::step_until`] with telemetry: a `screen.online`
-    /// span per pass plus per-detection `detect.online` instants.
-    pub fn step_until_traced(
         &mut self,
         topo: &FleetTopology,
         pop: &Population,
@@ -1468,6 +1430,7 @@ mod tests {
                     until,
                     &mut detected,
                     &mut log,
+                    &mut Recorder::disabled(),
                 ));
                 until += step_hours;
             }
@@ -1479,6 +1442,7 @@ mod tests {
                     until,
                     &mut detected,
                     &mut log,
+                    &mut Recorder::disabled(),
                 ));
                 until += step_hours;
             }
@@ -1517,7 +1481,8 @@ mod tests {
         let mut until = 100.0;
         let mut last_hour = f64::NEG_INFINITY;
         while campaign.next_hour().is_some() {
-            for r in campaign.step_until(&topo, &pop, until, &mut detected, &mut log) {
+            let off = &mut Recorder::disabled();
+            for r in campaign.step_until(&topo, &pop, until, &mut detected, &mut log, off) {
                 assert!(r.hour >= last_hour, "deploy-hour order violated");
                 last_hour = r.hour;
                 records.push(r);
@@ -1575,9 +1540,9 @@ mod tests {
         let mut until = 73.0;
         while until <= months as f64 * 730.0 + 73.0 {
             let (d, l) = (&mut detected, &mut log);
-            records.extend(bc.step_until_traced(topo, pop, until, d, l, rec));
-            records.extend(off.step_until_traced(topo, pop, until, d, l, rec));
-            records.extend(on.step_until_traced(topo, pop, until, d, l, rec));
+            records.extend(bc.step_until(topo, pop, until, d, l, rec));
+            records.extend(off.step_until(topo, pop, until, d, l, rec));
+            records.extend(on.step_until(topo, pop, until, d, l, rec));
             until += 73.0;
         }
         let mut det: Vec<CoreUid> = detected.into_iter().collect();
